@@ -52,28 +52,27 @@ func benchExperiment(b *testing.B) *Results {
 }
 
 // logSection renders one report section once per benchmark run.
-func logSection(b *testing.B, res *Results, write func(*report.Experiment, *bytes.Buffer)) {
+func logSection(b *testing.B, res *Results, write func(*core.Export, *bytes.Buffer)) {
 	b.Helper()
-	exp := &report.Experiment{Analysis: res.Analysis(), RankBoundaries: res.RankBoundaries()}
 	var buf bytes.Buffer
-	write(exp, &buf)
+	write(res.derived(), &buf)
 	b.Log("\n" + buf.String())
 }
 
 func BenchmarkTable1Profiles(b *testing.B) {
 	res := benchExperiment(b)
-	logSection(b, res, func(e *report.Experiment, w *bytes.Buffer) { e.WriteTable1(w) })
+	logSection(b, res, func(e *core.Export, w *bytes.Buffer) { report.WriteTable1(w, e) })
 	b.ResetTimer()
 	var buf bytes.Buffer
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		(&report.Experiment{Analysis: res.Analysis()}).WriteTable1(&buf)
+		report.WriteTable1(&buf, res.derived())
 	}
 }
 
 func BenchmarkTable2TreeOverview(b *testing.B) {
 	res := benchExperiment(b)
-	logSection(b, res, func(e *report.Experiment, w *bytes.Buffer) { e.WriteTable2(w) })
+	logSection(b, res, func(e *core.Export, w *bytes.Buffer) { report.WriteTable2(w, e) })
 	a := res.Analysis()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -83,7 +82,7 @@ func BenchmarkTable2TreeOverview(b *testing.B) {
 
 func BenchmarkTable3DepthSimilarity(b *testing.B) {
 	res := benchExperiment(b)
-	logSection(b, res, func(e *report.Experiment, w *bytes.Buffer) { e.WriteTable3(w) })
+	logSection(b, res, func(e *core.Export, w *bytes.Buffer) { report.WriteTable3(w, e) })
 	a := res.Analysis()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -93,9 +92,9 @@ func BenchmarkTable3DepthSimilarity(b *testing.B) {
 
 func BenchmarkTable4ResourceChains(b *testing.B) {
 	res := benchExperiment(b)
-	logSection(b, res, func(e *report.Experiment, w *bytes.Buffer) {
-		e.WriteTable4(w)
-		e.WriteChainStability(w)
+	logSection(b, res, func(e *core.Export, w *bytes.Buffer) {
+		report.WriteTable4(w, e)
+		report.WriteChainStability(w, e)
 	})
 	a := res.Analysis()
 	b.ResetTimer()
@@ -107,7 +106,7 @@ func BenchmarkTable4ResourceChains(b *testing.B) {
 
 func BenchmarkTable5ProfileTotals(b *testing.B) {
 	res := benchExperiment(b)
-	logSection(b, res, func(e *report.Experiment, w *bytes.Buffer) { e.WriteTable5(w) })
+	logSection(b, res, func(e *core.Export, w *bytes.Buffer) { report.WriteTable5(w, e) })
 	a := res.Analysis()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -117,9 +116,9 @@ func BenchmarkTable5ProfileTotals(b *testing.B) {
 
 func BenchmarkTable6ProfileDiffs(b *testing.B) {
 	res := benchExperiment(b)
-	logSection(b, res, func(e *report.Experiment, w *bytes.Buffer) {
-		e.WriteTable6(w)
-		e.WriteSameConfig(w)
+	logSection(b, res, func(e *core.Export, w *bytes.Buffer) {
+		report.WriteTable6(w, e)
+		report.WriteSameConfig(w, e)
 	})
 	a := res.Analysis()
 	b.ResetTimer()
@@ -130,7 +129,7 @@ func BenchmarkTable6ProfileDiffs(b *testing.B) {
 
 func BenchmarkTable7RankBuckets(b *testing.B) {
 	res := benchExperiment(b)
-	logSection(b, res, func(e *report.Experiment, w *bytes.Buffer) { e.WriteTable7(w) })
+	logSection(b, res, func(e *core.Export, w *bytes.Buffer) { report.WriteTable7(w, e) })
 	a := res.Analysis()
 	bounds := res.RankBoundaries()
 	b.ResetTimer()
@@ -141,7 +140,7 @@ func BenchmarkTable7RankBuckets(b *testing.B) {
 
 func BenchmarkFigure1DepthBreadth(b *testing.B) {
 	res := benchExperiment(b)
-	logSection(b, res, func(e *report.Experiment, w *bytes.Buffer) { e.WriteFigure1(w) })
+	logSection(b, res, func(e *core.Export, w *bytes.Buffer) { report.WriteFigure1(w, e) })
 	a := res.Analysis()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -151,7 +150,7 @@ func BenchmarkFigure1DepthBreadth(b *testing.B) {
 
 func BenchmarkFigure2SimilarityDistribution(b *testing.B) {
 	res := benchExperiment(b)
-	logSection(b, res, func(e *report.Experiment, w *bytes.Buffer) { e.WriteFigure2(w) })
+	logSection(b, res, func(e *core.Export, w *bytes.Buffer) { report.WriteFigure2(w, e) })
 	a := res.Analysis()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -161,7 +160,7 @@ func BenchmarkFigure2SimilarityDistribution(b *testing.B) {
 
 func BenchmarkFigure3NodeTypesByDepth(b *testing.B) {
 	res := benchExperiment(b)
-	logSection(b, res, func(e *report.Experiment, w *bytes.Buffer) { e.WriteFigure3(w) })
+	logSection(b, res, func(e *core.Export, w *bytes.Buffer) { report.WriteFigure3(w, e) })
 	a := res.Analysis()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -171,7 +170,7 @@ func BenchmarkFigure3NodeTypesByDepth(b *testing.B) {
 
 func BenchmarkFigure4SimilarityByDepth(b *testing.B) {
 	res := benchExperiment(b)
-	logSection(b, res, func(e *report.Experiment, w *bytes.Buffer) { e.WriteFigure4(w) })
+	logSection(b, res, func(e *core.Export, w *bytes.Buffer) { report.WriteFigure4(w, e) })
 	a := res.Analysis()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -181,9 +180,9 @@ func BenchmarkFigure4SimilarityByDepth(b *testing.B) {
 
 func BenchmarkFigure5TypeShares(b *testing.B) {
 	res := benchExperiment(b)
-	logSection(b, res, func(e *report.Experiment, w *bytes.Buffer) {
-		e.WriteFigure5(w)
-		e.WriteSubframeImpact(w)
+	logSection(b, res, func(e *core.Export, w *bytes.Buffer) {
+		report.WriteFigure5(w, e)
+		report.WriteSubframeImpact(w, e)
 	})
 	a := res.Analysis()
 	b.ResetTimer()
@@ -212,7 +211,7 @@ func BenchmarkFigure6WorkedExample(b *testing.B) {
 
 func BenchmarkFigure7TypeDepthSimilarity(b *testing.B) {
 	res := benchExperiment(b)
-	logSection(b, res, func(e *report.Experiment, w *bytes.Buffer) { e.WriteFigure7(w) })
+	logSection(b, res, func(e *core.Export, w *bytes.Buffer) { report.WriteFigure7(w, e) })
 	a := res.Analysis()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -222,7 +221,7 @@ func BenchmarkFigure7TypeDepthSimilarity(b *testing.B) {
 
 func BenchmarkFigure8ChildrenByDepth(b *testing.B) {
 	res := benchExperiment(b)
-	logSection(b, res, func(e *report.Experiment, w *bytes.Buffer) { e.WriteFigure8(w) })
+	logSection(b, res, func(e *core.Export, w *bytes.Buffer) { report.WriteFigure8(w, e) })
 	a := res.Analysis()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -232,7 +231,7 @@ func BenchmarkFigure8ChildrenByDepth(b *testing.B) {
 
 func BenchmarkStatisticalTests(b *testing.B) {
 	res := benchExperiment(b)
-	logSection(b, res, func(e *report.Experiment, w *bytes.Buffer) { e.WriteStatisticalTests(w) })
+	logSection(b, res, func(e *core.Export, w *bytes.Buffer) { report.WriteStatisticalTests(w, e) })
 	a := res.Analysis()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -242,7 +241,7 @@ func BenchmarkStatisticalTests(b *testing.B) {
 
 func BenchmarkCase1UniqueNodes(b *testing.B) {
 	res := benchExperiment(b)
-	logSection(b, res, func(e *report.Experiment, w *bytes.Buffer) { e.WriteCase1UniqueNodes(w) })
+	logSection(b, res, func(e *core.Export, w *bytes.Buffer) { report.WriteCase1UniqueNodes(w, e) })
 	a := res.Analysis()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -252,7 +251,7 @@ func BenchmarkCase1UniqueNodes(b *testing.B) {
 
 func BenchmarkCase2Cookies(b *testing.B) {
 	res := benchExperiment(b)
-	logSection(b, res, func(e *report.Experiment, w *bytes.Buffer) { e.WriteCase2Cookies(w) })
+	logSection(b, res, func(e *core.Export, w *bytes.Buffer) { report.WriteCase2Cookies(w, e) })
 	a := res.Analysis()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -262,7 +261,7 @@ func BenchmarkCase2Cookies(b *testing.B) {
 
 func BenchmarkCase3Tracking(b *testing.B) {
 	res := benchExperiment(b)
-	logSection(b, res, func(e *report.Experiment, w *bytes.Buffer) { e.WriteCase3Tracking(w) })
+	logSection(b, res, func(e *core.Export, w *bytes.Buffer) { report.WriteCase3Tracking(w, e) })
 	a := res.Analysis()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -39,8 +40,16 @@ func main() {
 }
 
 // run is the testable body of the command: parse args, analyze, export.
-// It returns the process exit code.
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+// It returns the process exit code. The report goes to stdout through a
+// buffer, flushed on every return; a failed flush fails the run.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int) {
+	out := bufio.NewWriter(stdout)
+	defer func() {
+		if err := out.Flush(); err != nil && code == 0 {
+			fmt.Fprintf(stderr, "analyze: write report: %v\n", err)
+			code = 1
+		}
+	}()
 	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -158,7 +167,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		logger.Error("analysis failed", "error", err.Error())
 		return 1
 	}
-	res.WriteReport(stdout)
+	res.WriteReport(out)
 	if *baselineOut != "" || *driftFrom != "" {
 		// The baseline/delta pair is the longitudinal half of the analysis:
 		// -baseline-out persists this epoch's snapshot, -drift-from diffs it
@@ -191,8 +200,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				logger.Error("drift comparison failed", "error", err.Error())
 				return 1
 			}
-			fmt.Fprintln(stdout)
-			report.WriteDriftSection(stdout, d, nil)
+			fmt.Fprintln(out)
+			report.WriteDriftSection(out, d, nil)
 			if *driftJSON != "" {
 				data, err := d.Encode()
 				if err == nil {
@@ -224,6 +233,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		if err := res.WriteJSON(jf); err != nil {
+			jf.Close()
 			logger.Error("json export failed", "error", err.Error())
 			return 1
 		}

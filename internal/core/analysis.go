@@ -60,6 +60,10 @@ type Analysis struct {
 	siteRank map[string]int
 	// metrics times the derived analysis phases (nil-safe).
 	metrics *metrics.Registry
+	// workers is Options.Workers resolved: the width of the per-page pool
+	// and of the derived scans that fan out over pages (ProfilePairTable,
+	// Attribution).
+	workers int
 }
 
 // phaseTimer times one derived analysis phase (case studies, stability)
@@ -152,7 +156,6 @@ type Stream struct {
 	a        *Analysis
 	w        pageWorker
 	ctx      context.Context
-	workers  int
 	opts     Options
 	lastSite string
 	seenSite bool
@@ -182,6 +185,7 @@ func newStream(ds *dataset.Dataset, filter *filterlist.List, opts Options, profi
 		profiles: profiles,
 		siteRank: opts.SiteRank,
 		metrics:  opts.Metrics,
+		workers:  resolveWorkers(opts.Workers),
 	}
 	builder := opts.TreeBuilder
 	if builder == nil {
@@ -191,10 +195,6 @@ func newStream(ds *dataset.Dataset, filter *filterlist.List, opts Options, profi
 	minSuccess := opts.MinSuccessProfiles
 	if minSuccess <= 0 || minSuccess > len(profiles) {
 		minSuccess = len(profiles)
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	tracer := opts.Tracer
 	if tracer == nil {
@@ -218,9 +218,8 @@ func newStream(ds *dataset.Dataset, filter *filterlist.List, opts Options, profi
 			treesFail:     opts.Metrics.Counter("analysis.trees.failed"),
 			pageMS:        opts.Metrics.Histogram("analysis.page_ms"),
 		},
-		ctx:     ctx,
-		workers: workers,
-		opts:    opts,
+		ctx:  ctx,
+		opts: opts,
 	}, nil
 }
 
@@ -260,37 +259,10 @@ func (s *Stream) addBatch(pages []*dataset.PageVisits, keys *urlutil.KeyCache) e
 	results := make([]pageResult, len(pages))
 	w := s.w
 	w.keys = keys
-	workers := s.workers
-	if workers > len(pages) {
-		workers = len(pages)
-	}
-	ctx := s.ctx
-	if workers <= 1 {
-		for i, pv := range pages {
-			if ctx.Err() != nil {
-				break
-			}
-			results[i] = w.analyze(pv)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for g := 0; g < workers; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ctx.Err() == nil {
-					i := int(next.Add(1)) - 1
-					if i >= len(pages) {
-						return
-					}
-					results[i] = w.analyze(pages[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	if err := ctx.Err(); err != nil {
+	parallelFor(s.ctx, s.a.workers, len(pages), func(i int) {
+		results[i] = w.analyze(pages[i])
+	})
+	if err := s.ctx.Err(); err != nil {
 		return fmt.Errorf("core: analysis canceled: %w", err)
 	}
 	// Merge in slot order (= page-key order) and aggregate the vetting
@@ -303,6 +275,48 @@ func (s *Stream) addBatch(pages []*dataset.PageVisits, keys *urlutil.KeyCache) e
 		}
 	}
 	return nil
+}
+
+// resolveWorkers maps Options.Workers to a pool width: 0 or negative
+// means runtime.GOMAXPROCS(0).
+func resolveWorkers(n int) int {
+	if n <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return n
+}
+
+// parallelFor calls fn(i) for every i in [0, n) on up to workers
+// goroutines, inline when that is one or fewer, and stops handing out
+// indices once ctx is done. Callers write each result into slot i and
+// merge the slots in index order afterwards, which makes the outcome
+// independent of scheduling and of the worker count.
+func parallelFor(ctx context.Context, workers, n int, fn func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Finish seals the stream and returns the analysis.

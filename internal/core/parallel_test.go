@@ -72,18 +72,30 @@ func TestWorkerPoolDeterministic(t *testing.T) {
 }
 
 // TestWorkerPoolSameTables spot-checks that the derived tables — the
-// actual outputs of the pipeline — agree across worker counts.
+// actual outputs of the pipeline — agree across worker counts, including
+// the two scans that fan their own per-page work over the pool
+// (ProfilePairTable and Attribution).
 func TestWorkerPoolSameTables(t *testing.T) {
 	one := buildWith(t, 1, nil)
-	eight := buildWith(t, 8, nil)
-	if !reflect.DeepEqual(one.TreeOverview(), eight.TreeOverview()) {
-		t.Error("TreeOverview differs between workers=1 and workers=8")
+	if len(one.ProfilePairTable(ReferenceProfile)) == 0 || one.Attribution().Visits == 0 {
+		t.Fatal("experiment leaves ProfilePairTable or Attribution empty; the fan-out is not exercised")
 	}
-	if !reflect.DeepEqual(one.DepthSimilarityTable(), eight.DepthSimilarityTable()) {
-		t.Error("DepthSimilarityTable differs between workers=1 and workers=8")
-	}
-	if !reflect.DeepEqual(one.ProfileTotals(), eight.ProfileTotals()) {
-		t.Error("ProfileTotals differs between workers=1 and workers=8")
+	for _, workers := range []int{2, 8} {
+		got := buildWith(t, workers, nil)
+		for _, c := range []struct {
+			name      string
+			want, got any
+		}{
+			{"TreeOverview", one.TreeOverview(), got.TreeOverview()},
+			{"DepthSimilarityTable", one.DepthSimilarityTable(), got.DepthSimilarityTable()},
+			{"ProfileTotals", one.ProfileTotals(), got.ProfileTotals()},
+			{"ProfilePairTable", one.ProfilePairTable(ReferenceProfile), got.ProfilePairTable(ReferenceProfile)},
+			{"Attribution", one.Attribution(), got.Attribution()},
+		} {
+			if !reflect.DeepEqual(c.want, c.got) {
+				t.Errorf("%s differs between workers=1 and workers=%d", c.name, workers)
+			}
+		}
 	}
 }
 

@@ -11,11 +11,9 @@ package core
 // CSV byte-identical to a single-process run over the whole dataset.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"webmeasure/internal/dataset"
 	"webmeasure/internal/filterlist"
@@ -170,6 +168,7 @@ func NewFromPartials(ds *dataset.Dataset, filter *filterlist.List, opts Options,
 		profiles: profiles,
 		siteRank: opts.SiteRank,
 		metrics:  opts.Metrics,
+		workers:  resolveWorkers(opts.Workers),
 	}
 	defer opts.Metrics.Histogram("analysis.merge_ms").Time()()
 	for _, p := range byShard {
@@ -191,14 +190,7 @@ func NewFromPartials(ds *dataset.Dataset, filter *filterlist.List, opts Options,
 	// results keep the merged page-key order regardless of scheduling.
 	results := make([]*PageAnalysis, len(merged))
 	errs := make([]error, len(merged))
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(merged) {
-		workers = len(merged)
-	}
-	rebuild := func(i int) {
+	parallelFor(context.Background(), a.workers, len(merged), func(i int) {
 		pp := merged[i]
 		pa := &PageAnalysis{Key: pp.Key, Trees: make([]*tree.Tree, 0, len(pp.Trees))}
 		for _, tr := range pp.Trees {
@@ -211,29 +203,7 @@ func NewFromPartials(ds *dataset.Dataset, filter *filterlist.List, opts Options,
 		}
 		pa.Cmp = treediff.Compare(pa.Trees)
 		results[i] = pa
-	}
-	if workers <= 1 {
-		for i := range merged {
-			rebuild(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for g := 0; g < workers; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(merged) {
-						return
-					}
-					rebuild(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

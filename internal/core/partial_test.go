@@ -8,6 +8,7 @@ import (
 	"webmeasure/internal/crawler"
 	"webmeasure/internal/dataset"
 	"webmeasure/internal/filterlist"
+	"webmeasure/internal/measurement"
 	"webmeasure/internal/tranco"
 	"webmeasure/internal/webgen"
 )
@@ -179,4 +180,74 @@ func TestDecodePartialSchema(t *testing.T) {
 	if _, err := DecodePartial([]byte(`not json`)); err == nil {
 		t.Error("malformed partial accepted")
 	}
+}
+
+// FuzzDecodePartial fuzzes the bytes a shard peer sends the coordinator
+// over HTTP. Decoding must never panic; a partial that decodes must
+// re-encode to a fixed point, and merging it as the sole shard of a
+// one-shard plan must return a result or an error, never panic.
+func FuzzDecodePartial(f *testing.F) {
+	ds, filter, opts := shardExperiment(f, 21)
+	a, err := New(ds, filter, opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	part, err := a.Partial(ShardPlan{Count: 1, Seed: 21}, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// One page with short trees and one visit with two requests keep the
+	// seed small enough to mutate quickly while still covering every field
+	// of the wire form. A pre-order prefix of a tree record is itself a
+	// valid tree record.
+	page := part.Pages[0]
+	for i := range page.Trees {
+		if len(page.Trees[i].Nodes) > 3 {
+			page.Trees[i].Nodes = page.Trees[i].Nodes[:3]
+		}
+	}
+	visit := *part.Visits[0]
+	if len(visit.Requests) > 2 {
+		visit.Requests = visit.Requests[:2]
+	}
+	part.Pages, part.Visits = []PartialPage{page}, []*measurement.Visit{&visit}
+	seed, err := part.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"schema":1,"plan":{"count":1,"seed":0},"shard":0,"profiles":["Sim1"],"pages":[{"key":{"Site":"a","PageURL":"b"},"trees":[]}]}`))
+	f.Add([]byte(`{"schema":2}`))
+	f.Add([]byte(`not json`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := DecodePartial(b)
+		if err != nil {
+			return
+		}
+		once, err := p.Encode()
+		if err != nil {
+			t.Fatalf("decoded partial does not re-encode: %v", err)
+		}
+		back, err := DecodePartial(once)
+		if err != nil {
+			t.Fatalf("re-encoded partial does not decode: %v", err)
+		}
+		twice, err := back.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("encoding is not a fixed point:\n%s\n%s", once, twice)
+		}
+		if p.Plan.Validate() != nil || p.Plan.Count != 1 {
+			return
+		}
+		merged := dataset.New()
+		for _, v := range p.Visits {
+			if v != nil {
+				merged.Add(v)
+			}
+		}
+		_, _ = NewFromPartials(merged, nil, Options{AllowEmpty: true, Workers: 1}, p.Plan, []*Partial{p})
+	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 
 	"webmeasure/internal/tree"
@@ -146,11 +147,14 @@ func (r AttributionReport) Accuracy() float64 {
 
 // Attribution evaluates parent attribution on every vetted visit carrying
 // ground truth. Datasets captured by real instrumentation have none and
-// yield a zero report.
+// yield a zero report. Pages are evaluated on the analysis worker pool and
+// their integer tallies summed in page order.
 func (a *Analysis) Attribution() AttributionReport {
-	var rep AttributionReport
 	builder := &tree.Builder{}
-	for _, pa := range a.pages {
+	perPage := make([]AttributionReport, len(a.pages))
+	parallelFor(context.Background(), a.workers, len(a.pages), func(i int) {
+		pa := a.pages[i]
+		rep := &perPage[i]
 		for _, prof := range a.profiles {
 			v := a.visitFor(pa, prof)
 			if v == nil || !v.Success {
@@ -176,6 +180,14 @@ func (a *Analysis) Attribution() AttributionReport {
 			rep.RootFallbacks += r.RootFallbacks
 			rep.MergeArtifacts += r.MergeArtifacts
 		}
+	})
+	var rep AttributionReport
+	for _, p := range perPage {
+		rep.Visits += p.Visits
+		rep.Attributable += p.Attributable
+		rep.Correct += p.Correct
+		rep.RootFallbacks += p.RootFallbacks
+		rep.MergeArtifacts += p.MergeArtifacts
 	}
 	return rep
 }

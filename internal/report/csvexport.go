@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+
+	"webmeasure/internal/core"
 )
 
 // CSVTable is one exported table or figure in CSV form.
@@ -26,17 +28,16 @@ type CSVTable struct {
 //	fig4_similarity_by_depth.csv fig7_type_depth.csv
 //	fig8_children_by_depth.csv
 //
-// (table7 is present only when RankBoundaries is set.) Both export paths —
-// one file per table (WriteCSVFiles) and one concatenated stream
-// (WriteCSV) — render exactly this inventory.
-func (e *Experiment) CSVTables() []CSVTable {
-	a := e.Analysis
+// (table7 is present only when the model carries rank buckets.) Both
+// export paths — one file per table (WriteCSVFiles) and one concatenated
+// stream (WriteCSV) — render exactly this inventory.
+func CSVTables(e *core.Export) []CSVTable {
 	ff := func(x float64) string { return strconv.FormatFloat(x, 'f', 4, 64) }
 	ii := strconv.Itoa
 
 	var tables []CSVTable
 
-	vet := a.Vetting()
+	vet := e.CrawlSummary.Vetting
 	tables = append(tables, CSVTable{
 		Name:    "vetting.csv",
 		Headers: []string{"pages_seen", "pages_vetted", "excluded_missing", "excluded_failed", "excluded_degraded", "excluded_build", "exclusion_share"},
@@ -48,7 +49,7 @@ func (e *Experiment) CSVTables() []CSVTable {
 		}},
 	})
 
-	ov := a.TreeOverview()
+	ov := e.TreeOverview
 	tables = append(tables, CSVTable{
 		Name:    "table2_tree_overview.csv",
 		Headers: []string{"metric", "avg", "sd", "min", "max"},
@@ -60,7 +61,7 @@ func (e *Experiment) CSVTables() []CSVTable {
 	})
 
 	var t3 [][]string
-	for _, r := range a.DepthSimilarityTable() {
+	for _, r := range e.DepthSim {
 		t3 = append(t3, []string{r.Label, string(r.Category), ff(r.Sim), ff(r.SD), ff(r.Max), ff(r.Min)})
 	}
 	tables = append(tables, CSVTable{
@@ -70,7 +71,7 @@ func (e *Experiment) CSVTables() []CSVTable {
 	})
 
 	var t4 [][]string
-	for _, r := range a.ResourceChainTable() {
+	for _, r := range e.ResourceChains {
 		t4 = append(t4, []string{r.Type.String(), ff(r.SameChainShare), ff(r.ParentSim), ii(r.N)})
 	}
 	tables = append(tables, CSVTable{
@@ -80,7 +81,7 @@ func (e *Experiment) CSVTables() []CSVTable {
 	})
 
 	var t5 [][]string
-	for _, r := range a.ProfileTotals() {
+	for _, r := range e.ProfileTotals {
 		t5 = append(t5, []string{r.Profile, ii(r.Nodes), ii(r.ThirdParty), ii(r.Tracker), ii(r.MaxDepth), ii(r.MaxBreadth)})
 	}
 	tables = append(tables, CSVTable{
@@ -90,7 +91,7 @@ func (e *Experiment) CSVTables() []CSVTable {
 	})
 
 	var t6 [][]string
-	for _, r := range a.ProfilePairTable(e.reference()) {
+	for _, r := range e.ProfilePairs {
 		t6 = append(t6, []string{
 			r.Other, ff(r.FPChildrenPerfect), ff(r.FPChildrenNone),
 			ff(r.TPChildrenPerfect), ff(r.TPChildrenNone),
@@ -109,10 +110,9 @@ func (e *Experiment) CSVTables() []CSVTable {
 		Rows: t6,
 	})
 
-	if len(e.RankBoundaries) > 0 {
-		res := a.RankBuckets(e.RankBoundaries)
+	if e.RankBuckets != nil {
 		var t7 [][]string
-		for _, r := range res.Rows {
+		for _, r := range e.RankBuckets.Rows {
 			t7 = append(t7, []string{r.Bucket, ff(r.MeanNodes), ff(r.ChildSim), ff(r.ParentSim), ii(r.Pages)})
 		}
 		tables = append(tables, CSVTable{
@@ -122,7 +122,7 @@ func (e *Experiment) CSVTables() []CSVTable {
 		})
 	}
 
-	d := a.SimilarityDistribution()
+	d := e.SimilarityDist
 	cf, pf := d.Children.RelativeFrequencies(), d.Parents.RelativeFrequencies()
 	var f2 [][]string
 	for i := range cf {
@@ -135,7 +135,7 @@ func (e *Experiment) CSVTables() []CSVTable {
 	})
 
 	var f3 [][]string
-	for _, r := range a.NodeTypeVolume() {
+	for _, r := range e.NodeTypeVolume {
 		f3 = append(f3, []string{r.Depth, ff(r.FirstParty), ff(r.ThirdParty), ff(r.Tracking), ff(r.NonTracking), ii(r.Nodes)})
 	}
 	tables = append(tables, CSVTable{
@@ -145,7 +145,7 @@ func (e *Experiment) CSVTables() []CSVTable {
 	})
 
 	var f4 [][]string
-	for _, r := range a.SimilarityByDepth() {
+	for _, r := range e.SimByDepth {
 		f4 = append(f4, []string{r.Depth, ff(r.ChildSim), ff(r.ParentSim), ii(r.Nodes)})
 	}
 	tables = append(tables, CSVTable{
@@ -155,7 +155,7 @@ func (e *Experiment) CSVTables() []CSVTable {
 	})
 
 	var f7 [][]string
-	for _, r := range a.TypeDepthSimilarity(8) {
+	for _, r := range e.TypeDepth {
 		f7 = append(f7, []string{r.Type.String(), ii(r.Depth), ff(r.ChildSim), ff(r.ParentSim), ii(r.Nodes)})
 	}
 	tables = append(tables, CSVTable{
@@ -165,7 +165,7 @@ func (e *Experiment) CSVTables() []CSVTable {
 	})
 
 	var f8 [][]string
-	for _, r := range a.ChildrenByDepth(20, true) {
+	for _, r := range e.ChildrenByDepth {
 		f8 = append(f8, []string{ii(r.Depth), ff(r.Mean), ff(r.Median), ff(r.Q1), ff(r.Q3), ff(r.Max), ii(r.Nodes)})
 	}
 	tables = append(tables, CSVTable{
@@ -177,19 +177,22 @@ func (e *Experiment) CSVTables() []CSVTable {
 	return tables
 }
 
-// WriteCSVFiles exports the analysis as CSV files into dir (created if
+// WriteCSVFiles exports the model as CSV files into dir (created if
 // missing), one file per table/figure, for external plotting. See
 // CSVTables for the inventory.
-func (e *Experiment) WriteCSVFiles(dir string) error {
+func WriteCSVFiles(dir string, e *core.Export) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("report: %w", err)
 	}
-	for _, t := range e.CSVTables() {
+	for _, t := range CSVTables(e) {
 		f, err := os.Create(filepath.Join(dir, t.Name))
 		if err != nil {
 			return fmt.Errorf("report: %w", err)
 		}
-		CSV(f, t.Headers, t.Rows)
+		if err := CSV(f, t.Headers, t.Rows); err != nil {
+			f.Close()
+			return fmt.Errorf("report: write %s: %w", t.Name, err)
+		}
 		if err := f.Close(); err != nil {
 			return fmt.Errorf("report: %w", err)
 		}
@@ -200,8 +203,8 @@ func (e *Experiment) WriteCSVFiles(dir string) error {
 // WriteCSV streams every table and figure into one writer, each section
 // introduced by a "# <name>" comment line and separated by a blank line —
 // the single-response form an HTTP result download needs.
-func (e *Experiment) WriteCSV(w io.Writer) error {
-	for i, t := range e.CSVTables() {
+func WriteCSV(w io.Writer, e *core.Export) error {
+	for i, t := range CSVTables(e) {
 		if i > 0 {
 			if _, err := io.WriteString(w, "\n"); err != nil {
 				return fmt.Errorf("report: %w", err)
@@ -210,7 +213,9 @@ func (e *Experiment) WriteCSV(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# %s\n", t.Name); err != nil {
 			return fmt.Errorf("report: %w", err)
 		}
-		CSV(w, t.Headers, t.Rows)
+		if err := CSV(w, t.Headers, t.Rows); err != nil {
+			return fmt.Errorf("report: write %s: %w", t.Name, err)
+		}
 	}
 	return nil
 }

@@ -10,76 +10,49 @@ import (
 	"webmeasure/internal/stats"
 )
 
-// Experiment names the analysis inputs the renderers need.
-type Experiment struct {
-	Analysis *core.Analysis
-	// RankBoundaries for Table 7 (nil skips the bucket table).
-	RankBoundaries []int
-	// Reference profile for Table 6 (default "Sim1").
-	Reference string
-	// NoAction profile name for the §4.4/§5.2 comparisons.
-	NoAction string
-	// SameConfig pair for the §4.4 identical-setup comparison.
-	SameConfig [2]string
-}
-
-func (e *Experiment) reference() string {
-	if e.Reference == "" {
-		return "Sim1"
-	}
-	return e.Reference
-}
-
-func (e *Experiment) noAction() string {
-	if e.NoAction == "" {
-		return "NoAction"
-	}
-	return e.NoAction
-}
-
 // WriteAll renders every table and figure in paper order.
-func (e *Experiment) WriteAll(w io.Writer) {
-	e.WriteCrawlSummary(w)
-	e.WriteTiming(w, 30000)
-	e.WriteTable1(w)
-	e.WriteTable2(w)
-	e.WriteFigure1(w)
-	e.WriteFigure2(w)
-	e.WriteTable3(w)
-	e.WriteFigure3(w)
-	e.WriteTable4(w)
-	e.WriteChainStability(w)
-	e.WriteFigure4(w)
-	e.WriteFigure5(w)
-	e.WriteSubframeImpact(w)
-	e.WriteTable5(w)
-	e.WriteTable6(w)
-	e.WritePairwiseMatrix(w)
-	e.WriteSameConfig(w)
-	e.WriteStatisticalTests(w)
-	e.WriteStaticDynamic(w)
-	e.WriteAttribution(w)
-	e.WriteStability(w)
-	e.WriteCase1UniqueNodes(w)
-	e.WriteCase2Cookies(w)
-	e.WriteCase3Tracking(w)
-	if len(e.RankBoundaries) > 0 {
-		e.WriteTable7(w)
+func WriteAll(w io.Writer, e *core.Export) {
+	WriteCrawlSummary(w, e)
+	WriteTiming(w, e)
+	WriteTable1(w, e)
+	WriteTable2(w, e)
+	WriteFigure1(w, e)
+	WriteFigure2(w, e)
+	WriteTable3(w, e)
+	WriteFigure3(w, e)
+	WriteTable4(w, e)
+	WriteChainStability(w, e)
+	WriteFigure4(w, e)
+	WriteFigure5(w, e)
+	WriteSubframeImpact(w, e)
+	WriteTable5(w, e)
+	WriteTable6(w, e)
+	WritePairwiseMatrix(w, e)
+	WriteSameConfig(w, e)
+	WriteStatisticalTests(w, e)
+	WriteStaticDynamic(w, e)
+	WriteAttribution(w, e)
+	WriteStability(w, e)
+	WriteCase1UniqueNodes(w, e)
+	WriteCase2Cookies(w, e)
+	WriteCase3Tracking(w, e)
+	if e.RankBuckets != nil {
+		WriteTable7(w, e)
 	}
-	e.WriteFigure7(w)
-	e.WriteFigure8(w)
-	e.WriteExecutiveSummary(w)
+	WriteFigure7(w, e)
+	WriteFigure8(w, e)
+	WriteExecutiveSummary(w, e)
 }
 
 // WriteCrawlSummary prints the §4 dataset overview.
-func (e *Experiment) WriteCrawlSummary(w io.Writer) {
-	cs := e.Analysis.CrawlSummary()
+func WriteCrawlSummary(w io.Writer, e *core.Export) {
+	cs := e.CrawlSummary
 	fmt.Fprintf(w, "== Crawl summary (§4) ==\n")
 	fmt.Fprintf(w, "sites crawled: %s   distinct pages: %s   page visits: %s\n",
 		Count(cs.Sites), Count(cs.Pages), Count(cs.Visits))
 	fmt.Fprintf(w, "pages per site: avg %.1f (min %.0f, max %.0f)\n",
 		cs.PagesPerSite.Mean, cs.PagesPerSite.Min, cs.PagesPerSite.Max)
-	profiles := e.Analysis.Profiles()
+	profiles := e.Profiles
 	for _, p := range profiles {
 		fmt.Fprintf(w, "  success %-9s %s  (%s visits)\n", p, Pct(cs.SuccessRate[p]), Count(cs.VisitsPerProfile[p]))
 	}
@@ -96,7 +69,7 @@ func (e *Experiment) WriteCrawlSummary(w io.Writer) {
 }
 
 // WriteTable1 prints the profile configuration (Table 1).
-func (e *Experiment) WriteTable1(w io.Writer) {
+func WriteTable1(w io.Writer, e *core.Export) {
 	var rows [][]string
 	for i, p := range browser.DefaultProfiles() {
 		ui, gui := "yes", "yes"
@@ -114,8 +87,8 @@ func (e *Experiment) WriteTable1(w io.Writer) {
 }
 
 // WriteTable2 prints the tree overview (Table 2).
-func (e *Experiment) WriteTable2(w io.Writer) {
-	ov := e.Analysis.TreeOverview()
+func WriteTable2(w io.Writer, e *core.Export) {
+	ov := e.TreeOverview
 	rows := [][]string{
 		{"nodes", F(ov.Nodes.Mean), F(ov.Nodes.SD), fmt.Sprintf("%.0f", ov.Nodes.Min), fmt.Sprintf("%.0f", ov.Nodes.Max)},
 		{"depth", F(ov.Depth.Mean), F(ov.Depth.SD), fmt.Sprintf("%.0f", ov.Depth.Min), fmt.Sprintf("%.0f", ov.Depth.Max)},
@@ -131,8 +104,8 @@ func (e *Experiment) WriteTable2(w io.Writer) {
 
 // WriteFigure1 prints the depth×breadth distribution (Fig. 1) as a coarse
 // text heatmap.
-func (e *Experiment) WriteFigure1(w io.Writer) {
-	h := e.Analysis.DepthBreadthHistogram()
+func WriteFigure1(w io.Writer, e *core.Export) {
+	h := e.DepthBreadth
 	fmt.Fprintf(w, "== Figure 1: tree depth x breadth distribution (%d trees) ==\n", h.Total())
 	// Bucket breadth logarithmically for readability.
 	buckets := []int{1, 5, 10, 20, 40, 80, 160, 320, 1 << 30}
@@ -166,8 +139,8 @@ func (e *Experiment) WriteFigure1(w io.Writer) {
 }
 
 // WriteFigure2 prints the similarity distributions (Fig. 2).
-func (e *Experiment) WriteFigure2(w io.Writer) {
-	d := e.Analysis.SimilarityDistribution()
+func WriteFigure2(w io.Writer, e *core.Export) {
+	d := e.SimilarityDist
 	fmt.Fprintf(w, "== Figure 2: distribution of node similarities ==\n")
 	cf, pf := d.Children.RelativeFrequencies(), d.Parents.RelativeFrequencies()
 	max := 0.0
@@ -187,9 +160,9 @@ func (e *Experiment) WriteFigure2(w io.Writer) {
 }
 
 // WriteTable3 prints the per-depth similarities (Table 3).
-func (e *Experiment) WriteTable3(w io.Writer) {
+func WriteTable3(w io.Writer, e *core.Export) {
 	var rows [][]string
-	for _, r := range e.Analysis.DepthSimilarityTable() {
+	for _, r := range e.DepthSim {
 		rows = append(rows, []string{r.Label, string(r.Category), F(r.Sim), F(r.SD), F(r.Max), F(r.Min)})
 	}
 	Table(w, "== Table 3: similarity of nodes at different depths ==",
@@ -198,9 +171,9 @@ func (e *Experiment) WriteTable3(w io.Writer) {
 }
 
 // WriteFigure3 prints the node-type volume per depth (Fig. 3).
-func (e *Experiment) WriteFigure3(w io.Writer) {
+func WriteFigure3(w io.Writer, e *core.Export) {
 	var rows [][]string
-	for _, r := range e.Analysis.NodeTypeVolume() {
+	for _, r := range e.NodeTypeVolume {
 		rows = append(rows, []string{
 			r.Depth, Pct(r.FirstParty), Pct(r.ThirdParty), Pct(r.Tracking), Pct(r.NonTracking), Count(r.Nodes),
 		})
@@ -211,8 +184,8 @@ func (e *Experiment) WriteFigure3(w io.Writer) {
 }
 
 // WriteTable4 prints the resource-type chain stability (Tables 4a/4b).
-func (e *Experiment) WriteTable4(w io.Writer) {
-	rows := e.Analysis.ResourceChainTable()
+func WriteTable4(w io.Writer, e *core.Export) {
+	rows := e.ResourceChains
 	var a [][]string
 	for i, r := range rows {
 		if i >= 5 {
@@ -237,8 +210,8 @@ func (e *Experiment) WriteTable4(w io.Writer) {
 }
 
 // WriteChainStability prints the §4.2 headline chain numbers.
-func (e *Experiment) WriteChainStability(w io.Writer) {
-	c := e.Analysis.ChainStability()
+func WriteChainStability(w io.Writer, e *core.Export) {
+	c := e.ChainStability
 	fmt.Fprintf(w, "== §4.2 dependency-chain stability (nodes in all trees) ==\n")
 	fmt.Fprintf(w, "same chains (all):  %s    same chains (depth ≥2): %s    unique chains: %s\n",
 		Pct(c.SameChainShareAll), Pct(c.SameChainShareDeep), Pct(c.UniqueChainShare))
@@ -248,9 +221,9 @@ func (e *Experiment) WriteChainStability(w io.Writer) {
 }
 
 // WriteFigure4 prints similarity by depth (Fig. 4).
-func (e *Experiment) WriteFigure4(w io.Writer) {
+func WriteFigure4(w io.Writer, e *core.Export) {
 	var rows [][]string
-	for _, r := range e.Analysis.SimilarityByDepth() {
+	for _, r := range e.SimByDepth {
 		rows = append(rows, []string{r.Depth, F(r.ChildSim), F(r.ParentSim), Count(r.Nodes)})
 	}
 	Table(w, "== Figure 4: similarity of children and parents by depth ==",
@@ -259,10 +232,9 @@ func (e *Experiment) WriteFigure4(w io.Writer) {
 }
 
 // WriteFigure5 prints the resource-type shares by page similarity (Fig. 5).
-func (e *Experiment) WriteFigure5(w io.Writer) {
-	for _, kind := range []string{"parent", "children"} {
-		f := e.Analysis.TypeSharesBySimilarity(kind, 8)
-		fmt.Fprintf(w, "== Figure 5 (%s): resource-type share by average page similarity ==\n", kind)
+func WriteFigure5(w io.Writer, e *core.Export) {
+	for _, f := range []core.TypeShareBySimilarity{e.TypeSharesByParentSim, e.TypeSharesByChildSim} {
+		fmt.Fprintf(w, "== Figure 5 (%s): resource-type share by average page similarity ==\n", f.Kind)
 		headers := []string{"Similarity bin"}
 		for _, s := range f.Series {
 			headers = append(headers, s.Type.String())
@@ -283,8 +255,8 @@ func (e *Experiment) WriteFigure5(w io.Writer) {
 }
 
 // WriteSubframeImpact prints the §4.2 subframe effect.
-func (e *Experiment) WriteSubframeImpact(w io.Writer) {
-	s := e.Analysis.SubframeImpact()
+func WriteSubframeImpact(w io.Writer, e *core.Export) {
+	s := e.SubframeImpact
 	fmt.Fprintf(w, "== §4.2 subframe impact ==\n")
 	fmt.Fprintf(w, "pages with subframes: %s (parent sim %s, child sim %s)\n",
 		Count(s.WithSubframes), F(s.ParentSimWith), F(s.ChildSimWith))
@@ -293,9 +265,9 @@ func (e *Experiment) WriteSubframeImpact(w io.Writer) {
 }
 
 // WriteTable5 prints the per-profile totals (Table 5).
-func (e *Experiment) WriteTable5(w io.Writer) {
+func WriteTable5(w io.Writer, e *core.Export) {
 	var rows [][]string
-	for i, r := range e.Analysis.ProfileTotals() {
+	for i, r := range e.ProfileTotals {
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", i+1), r.Profile, Count(r.Nodes), Count(r.ThirdParty),
 			Count(r.Tracker), fmt.Sprintf("%d", r.MaxDepth), Count(r.MaxBreadth),
@@ -307,8 +279,8 @@ func (e *Experiment) WriteTable5(w io.Writer) {
 }
 
 // WriteTable6 prints the profile differences vs the reference (Table 6).
-func (e *Experiment) WriteTable6(w io.Writer) {
-	rows := e.Analysis.ProfilePairTable(e.reference())
+func WriteTable6(w io.Writer, e *core.Export) {
+	rows := e.ProfilePairs
 	headers := []string{"Metric"}
 	for _, r := range rows {
 		headers = append(headers, r.Other)
@@ -338,24 +310,20 @@ func (e *Experiment) WriteTable6(w io.Writer) {
 	add("TP parent: no similarity", func(r core.ProfilePairRow) float64 { return r.TPParentNone }, true)
 	add("parent similarity (mean, depth>=2)", func(r core.ProfilePairRow) float64 { return r.MeanParentSim }, false)
 	add("child similarity (mean, >=1 child)", func(r core.ProfilePairRow) float64 { return r.MeanChildSim }, false)
-	Table(w, fmt.Sprintf("== Table 6: profile differences compared to %s ==", e.reference()), headers, body)
+	Table(w, fmt.Sprintf("== Table 6: profile differences compared to %s ==", core.ReferenceProfile), headers, body)
 	fmt.Fprintln(w)
 }
 
 // WriteSameConfig prints the identical-configuration comparison (§4.4).
-func (e *Experiment) WriteSameConfig(w io.Writer) {
-	pair := e.SameConfig
-	if pair[0] == "" {
-		pair = [2]string{"Sim1", "Sim2"}
-	}
-	sc := e.Analysis.CompareSameConfig(pair[0], pair[1])
+func WriteSameConfig(w io.Writer, e *core.Export) {
+	pair, sc := core.SameConfigPair, e.SameConfig
 	fmt.Fprintf(w, "== §4.4 identical configuration (%s vs %s, %d pages) ==\n", pair[0], pair[1], sc.Pages)
 	fmt.Fprintf(w, "upper levels (≤5): %s    deeper levels: %s\n\n", F(sc.UpperSim), F(sc.DeepSim))
 }
 
 // WriteStatisticalTests prints the three §3.1 tests.
-func (e *Experiment) WriteStatisticalTests(w io.Writer) {
-	res := e.Analysis.RunTests(e.reference(), e.noAction())
+func WriteStatisticalTests(w io.Writer, e *core.Export) {
+	res := e.StatTests
 	fmt.Fprintf(w, "== Statistical tests (α = .05) ==\n")
 	print := func(name string, r stats.TestResult, err error) {
 		if err != nil {
@@ -376,8 +344,8 @@ func (e *Experiment) WriteStatisticalTests(w io.Writer) {
 
 // WriteStaticDynamic prints the takeaway-3 contrast of static HTTP facets
 // against dynamic content facets.
-func (e *Experiment) WriteStaticDynamic(w io.Writer) {
-	r := e.Analysis.StaticDynamic()
+func WriteStaticDynamic(w io.Writer, e *core.Export) {
+	r := e.StaticDynamic
 	fmt.Fprintf(w, "== Static vs dynamic phenomena (takeaway 3, %s nodes) ==\n", Count(r.NodesCompared))
 	fmt.Fprintf(w, "static facets:  content type %s   status %s   body size (±25%%) %s\n",
 		Pct(r.ContentTypeStable), Pct(r.StatusStable), Pct(r.SizeStable))
@@ -388,8 +356,8 @@ func (e *Experiment) WriteStaticDynamic(w io.Writer) {
 }
 
 // WriteStability prints the experiment-level fluctuation metric (takeaway 1).
-func (e *Experiment) WriteStability(w io.Writer) {
-	r := e.Analysis.Stability()
+func WriteStability(w io.Writer, e *core.Export) {
+	r := e.Stability
 	fmt.Fprintf(w, "== Measurement stability metric (takeaway 1) ==\n")
 	fmt.Fprintf(w, "page stability: mean %.2f (SD %.2f) — %s high, %s medium, %s low\n",
 		r.PageStability.Mean, r.PageStability.SD,
@@ -405,8 +373,8 @@ func (e *Experiment) WriteStability(w io.Writer) {
 }
 
 // WriteCase1UniqueNodes prints the §5.1 case study.
-func (e *Experiment) WriteCase1UniqueNodes(w io.Writer) {
-	u := e.Analysis.UniqueNodes()
+func WriteCase1UniqueNodes(w io.Writer, e *core.Export) {
+	u := e.UniqueNodes
 	fmt.Fprintf(w, "== Case study §5.1: unique nodes ==\n")
 	fmt.Fprintf(w, "unique nodes: %s of %s (%s)\n", Count(u.UniqueNodes), Count(u.TotalNodes), Pct(u.UniqueShare))
 	fmt.Fprintf(w, "tracking: %s   third-party: %s   mean depth: %.1f (SD %.1f)   at depth one: %s\n",
@@ -430,8 +398,8 @@ func (e *Experiment) WriteCase1UniqueNodes(w io.Writer) {
 }
 
 // WriteCase2Cookies prints the §5.2 case study.
-func (e *Experiment) WriteCase2Cookies(w io.Writer) {
-	c := e.Analysis.CookieStudy(e.noAction())
+func WriteCase2Cookies(w io.Writer, e *core.Export) {
+	c := e.CookieStudy
 	fmt.Fprintf(w, "== Case study §5.2: cookies ==\n")
 	fmt.Fprintf(w, "observations: %s   distinct (name,domain,path): %s\n",
 		Count(c.TotalObservations), Count(c.DistinctCookies))
@@ -445,13 +413,13 @@ func (e *Experiment) WriteCase2Cookies(w io.Writer) {
 	}
 	fmt.Fprintf(w, "in all profiles: %s   in one profile: %s\n", Pct(c.ShareInAllProfiles), Pct(c.ShareInOneProfile))
 	fmt.Fprintf(w, "per-page similarity: %.2f (SD %.2f)   vs %s only: %.2f\n",
-		c.MeanJaccard.Mean, c.MeanJaccard.SD, e.noAction(), c.InteractionVsNone.Mean)
+		c.MeanJaccard.Mean, c.MeanJaccard.SD, core.NoActionProfile, c.InteractionVsNone.Mean)
 	fmt.Fprintf(w, "cookies with differing security attributes: %s\n\n", Count(c.AttributeMismatch))
 }
 
 // WriteCase3Tracking prints the §5.3 case study.
-func (e *Experiment) WriteCase3Tracking(w io.Writer) {
-	tr := e.Analysis.TrackingStudy()
+func WriteCase3Tracking(w io.Writer, e *core.Export) {
+	tr := e.TrackingStudy
 	fmt.Fprintf(w, "== Case study §5.3: tracking requests ==\n")
 	fmt.Fprintf(w, "tracking nodes: %s of all nodes   per-page tracking-set similarity: %.2f (SD %.2f)\n",
 		Pct(tr.TrackingShare), tr.TrackingNodeSim.Mean, tr.TrackingNodeSim.SD)
@@ -473,8 +441,8 @@ func (e *Experiment) WriteCase3Tracking(w io.Writer) {
 }
 
 // WriteTable7 prints the rank-bucket analysis (Table 7, Appendix F).
-func (e *Experiment) WriteTable7(w io.Writer) {
-	res := e.Analysis.RankBuckets(e.RankBoundaries)
+func WriteTable7(w io.Writer, e *core.Export) {
+	res := e.RankBuckets
 	var rows [][]string
 	for i, r := range res.Rows {
 		rows = append(rows, []string{
@@ -484,18 +452,18 @@ func (e *Experiment) WriteTable7(w io.Writer) {
 	}
 	Table(w, "== Table 7: tree size and similarity per rank bucket (Appendix F) ==",
 		[]string{"#", "Bucket", "mean nodes", "child sim", "parent sim", "pages"}, rows)
-	if res.TestError == nil {
+	if e.RankBucketsErr == nil {
 		fmt.Fprintf(w, "Kruskal-Wallis nodes: H=%.2f p=%.3g; similarity: H=%.2f p=%.3g; ε²=%.4f\n",
 			res.NodesTest.Statistic, res.NodesTest.P, res.SimTest.Statistic, res.SimTest.P, res.Epsilon2)
 	} else {
-		fmt.Fprintf(w, "Kruskal-Wallis unavailable: %v\n", res.TestError)
+		fmt.Fprintf(w, "Kruskal-Wallis unavailable: %v\n", e.RankBucketsErr)
 	}
 	fmt.Fprintln(w)
 }
 
 // WriteFigure7 prints the per-type per-depth similarities (Fig. 7).
-func (e *Experiment) WriteFigure7(w io.Writer) {
-	rows := e.Analysis.TypeDepthSimilarity(8)
+func WriteFigure7(w io.Writer, e *core.Export) {
+	rows := e.TypeDepth
 	var body [][]string
 	for _, r := range rows {
 		body = append(body, []string{
@@ -508,9 +476,9 @@ func (e *Experiment) WriteFigure7(w io.Writer) {
 }
 
 // WriteFigure8 prints children per depth (Fig. 8, Appendix E).
-func (e *Experiment) WriteFigure8(w io.Writer) {
+func WriteFigure8(w io.Writer, e *core.Export) {
 	var rows [][]string
-	for _, r := range e.Analysis.ChildrenByDepth(20, true) {
+	for _, r := range e.ChildrenByDepth {
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", r.Depth), F(r.Mean), F(r.Median), F(r.Q1), F(r.Q3),
 			fmt.Sprintf("%.0f", r.Max), Count(r.Nodes),
@@ -522,8 +490,8 @@ func (e *Experiment) WriteFigure8(w io.Writer) {
 }
 
 // WritePairwiseMatrix prints the full profile×profile similarity matrix.
-func (e *Experiment) WritePairwiseMatrix(w io.Writer) {
-	names, m := e.Analysis.ProfilePairwiseMatrix()
+func WritePairwiseMatrix(w io.Writer, e *core.Export) {
+	names, m := e.Profiles, e.PairwiseMatrix
 	headers := append([]string{"Profile"}, names...)
 	var rows [][]string
 	for i, name := range names {
@@ -538,8 +506,8 @@ func (e *Experiment) WritePairwiseMatrix(w io.Writer) {
 }
 
 // WriteTiming prints the Appendix C synchronization statistics.
-func (e *Experiment) WriteTiming(w io.Writer, timeoutMS int) {
-	rep := e.Analysis.Timing(timeoutMS)
+func WriteTiming(w io.Writer, e *core.Export) {
+	rep := e.Timing
 	fmt.Fprintf(w, "== Visit timing (Appendix C) ==\n")
 	fmt.Fprintf(w, "per-page start deviation between profiles: avg %.0fs (SD %.0fs, max %.0fs)\n",
 		rep.StartDeviation.Mean, rep.StartDeviation.SD, rep.StartDeviation.Max)
@@ -549,8 +517,8 @@ func (e *Experiment) WriteTiming(w io.Writer, timeoutMS int) {
 
 // WriteAttribution prints the ground-truth attribution evaluation (only
 // meaningful on simulated datasets; real captures carry no ground truth).
-func (e *Experiment) WriteAttribution(w io.Writer) {
-	r := e.Analysis.Attribution()
+func WriteAttribution(w io.Writer, e *core.Export) {
+	r := e.Attribution
 	if r.Visits == 0 {
 		return
 	}
@@ -563,21 +531,13 @@ func (e *Experiment) WriteAttribution(w io.Writer) {
 // WriteExecutiveSummary prints the paper's four takeaways (§8) with this
 // run's measured numbers attached — the one-pager a reader should leave
 // with.
-func (e *Experiment) WriteExecutiveSummary(w io.Writer) {
-	a := e.Analysis
-	ov := a.TreeOverview()
-	st := a.Stability()
-	sd := a.StaticDynamic()
-	chain := a.ChainStability()
-	sc := e.SameConfig
-	if sc[0] == "" {
-		sc = [2]string{"Sim1", "Sim2"}
-	}
-	same := a.CompareSameConfig(sc[0], sc[1])
+func WriteExecutiveSummary(w io.Writer, e *core.Export) {
+	ov, st, sd, chain := e.TreeOverview, e.Stability, e.StaticDynamic, e.ChainStability
+	sc, same := core.SameConfigPair, e.SameConfig
 
 	fmt.Fprintf(w, "== Takeaways (§8), with this run's numbers ==\n")
 	fmt.Fprintf(w, "1. Assess variance: a node appears in %.1f of %d profiles on average;\n",
-		ov.MeanPresence, len(a.Profiles()))
+		ov.MeanPresence, len(e.Profiles))
 	fmt.Fprintf(w, "   one more measurement would surface ~%s new node mass —\n", Pct(st.ExpectedDiscovery))
 	fmt.Fprintf(w, "   plan for %d repetitions to push the unseen share below 1%%.\n",
 		st.RequiredMeasurements(0.01))

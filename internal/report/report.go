@@ -1,10 +1,13 @@
 // Package report renders the analysis results as the tables and figure
 // series the paper presents: aligned ASCII tables for Tables 1–7 and
 // text-based series/heatmaps for Figures 1–8, plus CSV output for external
-// plotting.
+// plotting. Every renderer reads the computed result model (core.Export)
+// and derives nothing itself, so the text report, the CSV tables and the
+// JSON bundle share one computation.
 package report
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"strings"
@@ -47,24 +50,29 @@ func Table(w io.Writer, title string, headers []string, rows [][]string) {
 	}
 }
 
-// CSV writes rows as comma-separated values with minimal quoting.
-func CSV(w io.Writer, headers []string, rows [][]string) {
+// CSV writes rows as comma-separated values with minimal quoting. The
+// cells go through a buffer (one write per buffer-full, not per cell), and
+// the first write error is returned: bufio.Writer errors are sticky, so
+// Flush reports any write that failed before it.
+func CSV(w io.Writer, headers []string, rows [][]string) error {
+	bw := bufio.NewWriter(w)
 	writeRow := func(cells []string) {
 		for i, c := range cells {
 			if i > 0 {
-				fmt.Fprint(w, ",")
+				bw.WriteByte(',')
 			}
 			if strings.ContainsAny(c, ",\"\n") {
 				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
 			}
-			fmt.Fprint(w, c)
+			bw.WriteString(c)
 		}
-		fmt.Fprintln(w)
+		bw.WriteByte('\n')
 	}
 	writeRow(headers)
 	for _, row := range rows {
 		writeRow(row)
 	}
+	return bw.Flush()
 }
 
 // Bar renders a horizontal bar of width proportional to value/max (max
