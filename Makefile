@@ -51,6 +51,8 @@ FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime $(FUZZTIME) ./internal/urlutil
 	$(GO) test -run '^$$' -fuzz '^FuzzSite$$' -fuzztime $(FUZZTIME) ./internal/urlutil
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyCache$$' -fuzztime $(FUZZTIME) ./internal/urlutil
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLinks$$' -fuzztime $(FUZZTIME) ./internal/linkextract
 	$(GO) test -run '^$$' -fuzz '^FuzzRedirectChain$$' -fuzztime $(FUZZTIME) ./internal/faults
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/faults
@@ -60,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecCanonical$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzConfigParse$$' -fuzztime $(FUZZTIME) ./internal/loadgen
 	$(GO) test -run '^$$' -fuzz '^FuzzBaselineDecode$$' -fuzztime $(FUZZTIME) ./internal/drift
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime $(FUZZTIME) ./internal/drift
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSetCookie$$' -fuzztime $(FUZZTIME) ./internal/cookies
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRule$$' -fuzztime $(FUZZTIME) ./internal/filterlist
 	$(GO) test -run '^$$' -fuzz '^FuzzListMatch$$' -fuzztime $(FUZZTIME) ./internal/filterlist

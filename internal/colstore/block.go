@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"webmeasure/internal/measurement"
 	"webmeasure/internal/urlutil"
@@ -30,12 +31,22 @@ type SiteBlock struct {
 	Strings []string
 }
 
-// KeyCache builds the pre-interned normalized-key table for the block:
-// urlutil.Normalize evaluated once per distinct string, with dense int32
-// key ids the tree builder indexes directly instead of re-normalizing and
-// re-hashing every request of every visit.
+// KeyCache builds the pre-interned normalized-key table for the block's
+// absolute URLs: urlutil.Normalize evaluated once per distinct string
+// containing "://", with dense int32 ids the tree builder indexes
+// directly instead of re-normalizing and re-hashing every request of
+// every visit. The table's other strings — profile names, headers,
+// cookies, function names — are never looked up as URLs and would cost a
+// quarter of the build; a URL without a scheme would only miss the cache
+// and be normalized on lookup.
 func (sb *SiteBlock) KeyCache() *urlutil.KeyCache {
-	return urlutil.BuildKeyCache(sb.Strings)
+	urls := make([]string, 0, len(sb.Strings))
+	for _, s := range sb.Strings {
+		if strings.Contains(s, "://") {
+			urls = append(urls, s)
+		}
+	}
+	return urlutil.BuildKeyCache(urls)
 }
 
 // Pages returns the block's distinct page URLs in ascending order.

@@ -49,11 +49,11 @@ type Analysis struct {
 
 	pages   []*PageAnalysis
 	vetting Vetting
-	// siteKeys retains each streamed site block's pre-interned key cache
-	// (columnar inputs only), so derived analyses that rebuild trees —
-	// attribution scoring — reuse the int32-id fast path instead of
-	// re-normalizing every URL. Nil for JSONL inputs and merged partials;
-	// consumers fall back to plain normalization.
+	// siteKeys holds each site's pre-interned key cache — a columnar
+	// block's, or one built from the site's visits — which tree building
+	// and attribution scoring both read, so neither re-normalizes a URL
+	// per request. Nil for merged partials; consumers then fall back to
+	// plain normalization.
 	siteKeys map[string]*urlutil.KeyCache
 	// siteRank maps site → Tranco rank for the Appendix F bucket analysis
 	// (may be empty when unknown).
@@ -139,10 +139,53 @@ func New(ds *dataset.Dataset, filter *filterlist.List, opts Options) (*Analysis,
 	// ds.Pages() is sorted by (site, page URL); the pool writes each
 	// page's result into its matching slot, so the merge preserves that
 	// deterministic order.
-	if err := s.addBatch(ds.Pages(), nil); err != nil {
+	pages := ds.Pages()
+	var sites [][]*dataset.PageVisits
+	for i := 0; i < len(pages); {
+		j := i + 1
+		for j < len(pages) && pages[j].Key.Site == pages[i].Key.Site {
+			j++
+		}
+		sites = append(sites, pages[i:j])
+		i = j
+	}
+	caches := make([]*urlutil.KeyCache, len(sites))
+	parallelFor(s.ctx, s.a.workers, len(sites), func(i int) {
+		caches[i] = siteKeyCache(sites[i], profiles)
+	})
+	s.a.siteKeys = make(map[string]*urlutil.KeyCache, len(sites))
+	for i, group := range sites {
+		s.a.siteKeys[group[0].Key.Site] = caches[i]
+	}
+	if err := s.addBatch(pages); err != nil {
 		return nil, err
 	}
 	return s.Finish()
+}
+
+// siteKeyCache builds one site's key cache from every URL string the
+// analysis looks up in its visits: page and request URLs, redirect
+// sources, frame URLs, call-stack URLs and ground-truth parents. Profiles
+// are read in analysis order, so the ids are deterministic.
+func siteKeyCache(pages []*dataset.PageVisits, profiles []string) *urlutil.KeyCache {
+	var raws []string
+	for _, pv := range pages {
+		for _, prof := range profiles {
+			v := pv.ByProfile[prof]
+			if v == nil {
+				continue
+			}
+			raws = append(raws, v.PageURL)
+			for i := range v.Requests {
+				q := &v.Requests[i]
+				raws = append(raws, q.URL, q.RedirectFrom, q.FrameURL, q.TrueParentURL)
+				for _, f := range q.CallStack {
+					raws = append(raws, f.URL)
+				}
+			}
+		}
+	}
+	return urlutil.BuildKeyCache(raws)
 }
 
 // Stream builds an Analysis incrementally, one batch of page groups at a
@@ -242,25 +285,23 @@ func (s *Stream) AddSite(site string, pages []*dataset.PageVisits, keys *urlutil
 			return fmt.Errorf("core: page of site %q in batch for %q", pv.Key.Site, site)
 		}
 	}
-	if keys != nil {
-		if s.a.siteKeys == nil {
-			s.a.siteKeys = make(map[string]*urlutil.KeyCache)
-		}
-		s.a.siteKeys[site] = keys
+	if s.a.siteKeys == nil {
+		s.a.siteKeys = make(map[string]*urlutil.KeyCache)
 	}
-	return s.addBatch(pages, keys)
+	s.a.siteKeys[site] = keys
+	return s.addBatch(pages)
 }
 
 // addBatch fans one batch of page groups over the worker pool and merges
 // the results in slot order. Per-page work carries no cross-page state
-// (the trace cost model runs on a per-page cursor), so splitting the
-// page list into batches cannot change any output.
-func (s *Stream) addBatch(pages []*dataset.PageVisits, keys *urlutil.KeyCache) error {
+// (the trace cost model runs on a per-page cursor; the decision tables
+// hold pure functions of their keys), so splitting the page list into
+// batches cannot change any output. Pages read their site's key cache
+// from siteKeys (nil: unkeyed builds).
+func (s *Stream) addBatch(pages []*dataset.PageVisits) error {
 	results := make([]pageResult, len(pages))
-	w := s.w
-	w.keys = keys
 	parallelFor(s.ctx, s.a.workers, len(pages), func(i int) {
-		results[i] = w.analyze(pages[i])
+		results[i] = s.w.analyze(pages[i], s.a.siteKeys[pages[i].Key.Site])
 	})
 	if err := s.ctx.Err(); err != nil {
 		return fmt.Errorf("core: analysis canceled: %w", err)
@@ -351,9 +392,6 @@ type pageWorker struct {
 	minSuccess    int
 	allowDegraded bool
 	tracer        *trace.Tracer
-	// keys, when non-nil, is the current site block's pre-interned
-	// normalization cache; tree builds then take the int32-id fast path.
-	keys *urlutil.KeyCache
 
 	pagesSeen, pagesOK, trees, treesFail *metrics.Counter
 	pageMS                               *metrics.Histogram
@@ -456,8 +494,8 @@ type pageResult struct {
 // exclusion reason among its visits. The three stages run back to back
 // per page (vetting → build → compare) and each is traced; the exclusion
 // ranking is a max over reasons, so splitting the stages cannot change
-// which reason wins.
-func (w *pageWorker) analyze(pv *dataset.PageVisits) pageResult {
+// which reason wins. keys is the page's site key cache.
+func (w *pageWorker) analyze(pv *dataset.PageVisits, keys *urlutil.KeyCache) pageResult {
 	defer w.pageMS.Time()()
 	w.pagesSeen.Inc()
 	spans := w.startSpans(pv)
@@ -491,7 +529,7 @@ func (w *pageWorker) analyze(pv *dataset.PageVisits) pageResult {
 	spans.vet(len(w.profiles), len(eligible), worst)
 	// Tree construction, one tree per eligible profile.
 	for _, c := range eligible {
-		t, err := w.builder.BuildKeyed(c.v, w.keys)
+		t, err := w.builder.BuildKeyed(c.v, keys)
 		spans.build(c.profile, len(c.v.Requests), t, err)
 		if err != nil {
 			// Success flags guarantee requests; a build failure means

@@ -559,3 +559,35 @@ func TestCustomTreeBuilderOption(t *testing.T) {
 		t.Errorf("raw identity should inflate nodes: %v vs %v", inflated, base)
 	}
 }
+
+// TestBatchPathKeysEverySite pins the in-memory batch path to the keyed
+// build: New gives every site a key cache covering each URL string the
+// tree builder and attribution scoring look up, so none of them falls
+// back to re-normalizing per request.
+func TestBatchPathKeysEverySite(t *testing.T) {
+	a := sharedExperiment(t)
+	for _, pa := range a.Pages() {
+		keys := a.siteKeys[pa.Key.Site]
+		if keys == nil {
+			t.Fatalf("site %s has no key cache", pa.Key.Site)
+		}
+		for _, prof := range a.Profiles() {
+			v := a.visitFor(pa, prof)
+			if v == nil {
+				continue
+			}
+			raws := []string{v.PageURL}
+			for _, q := range v.Requests {
+				raws = append(raws, q.URL, q.RedirectFrom, q.FrameURL, q.TrueParentURL)
+				for _, f := range q.CallStack {
+					raws = append(raws, f.URL)
+				}
+			}
+			for _, raw := range raws {
+				if _, ok := keys.Lookup(raw); !ok {
+					t.Fatalf("site %s: %q missing from its key cache", pa.Key.Site, raw)
+				}
+			}
+		}
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"webmeasure/internal/webgen"
 )
 
 func mustRule(t *testing.T, line string) *Rule {
@@ -306,6 +308,38 @@ func BenchmarkListMatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		l.Matches(rq)
 		l.Matches(hit)
+	}
+}
+
+// TestListMatchAllocFree guards the matcher's hot path: a lower-case
+// request against the generated universe's list — domain anchors, the
+// token index, $image, an exception — must not allocate, hit or miss.
+func TestListMatchAllocFree(t *testing.T) {
+	u := webgen.New(webgen.DefaultConfig(1))
+	l, skipped := Parse(u.FilterListText())
+	if skipped != 0 {
+		t.Fatalf("%d generated rules skipped", skipped)
+	}
+	var tracker string
+	for _, s := range u.AllServices() {
+		if s.Tracking {
+			tracker = s.Domain
+			break
+		}
+	}
+	reqs := []Request{
+		{URL: "https://cdn.site-0001.example/assets/app.js?v=3&s=abc", PageURL: "https://site-0001.example/", Type: TypeScript},
+		{URL: "https://stats.example/track/p.gif?id=1", PageURL: "https://site-0001.example/", Type: TypeImage},
+		{URL: "https://sub." + tracker + "/tag.js", PageURL: "https://site-0001.example/a", Type: TypeScript},
+		{URL: "https://docs." + tracker + "/beacon", PageURL: "https://site-0001.example/a", Type: TypePing},
+	}
+	for _, rq := range reqs {
+		if allocs := testing.AllocsPerRun(100, func() { l.Matches(rq) }); allocs != 0 {
+			t.Errorf("List.Matches(%s) allocates %.1f times per call, want 0", rq.URL, allocs)
+		}
+	}
+	if !l.Matches(reqs[1]) || !l.Matches(reqs[2]) || l.Matches(reqs[0]) || l.Matches(reqs[3]) {
+		t.Error("alloc-guard requests no longer cover both a hit and a miss")
 	}
 }
 

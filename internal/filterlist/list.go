@@ -76,34 +76,76 @@ func Merge(lists ...*List) *List {
 
 // Matches reports whether the request is blocked by the list: some block
 // rule matches and no exception rule does. In the paper's usage a match
-// means "tracking request".
+// means "tracking request". Per-request work — lowering the URL, the
+// page host, the $third-party bit — is done at most once and shared by
+// every candidate rule, and a lower-case URL is matched without
+// allocating.
 func (l *List) Matches(req Request) bool {
-	if !l.anyBlockMatch(req) {
+	m := newMatchCtx(req)
+	if !l.anyBlockMatch(&m) {
 		return false
 	}
 	for _, r := range l.exceptions {
-		if r.MatchRequest(req) {
+		if r.match(&m) {
 			return false
 		}
 	}
 	return true
 }
 
-func (l *List) anyBlockMatch(req Request) bool {
-	url := strings.ToLower(req.URL)
-	seen := map[*Rule]bool{}
-	for _, tok := range urlTokens(url) {
-		for _, r := range l.indexed[tok] {
-			if !seen[r] {
-				seen[r] = true
-				if r.MatchRequest(req) {
-					return true
-				}
+// triedBuckets bounds how many index buckets anyBlockMatch remembers to
+// skip when a URL repeats a token; past it a repeat is re-evaluated,
+// which costs time but cannot change the result.
+const triedBuckets = 8
+
+func (l *List) anyBlockMatch(m *matchCtx) bool {
+	// Every indexed rule sits in exactly one bucket (its token's), so a
+	// bucket's first rule identifies it: remembering those dedupes the
+	// candidate rules of a URL whose tokens repeat, without a map.
+	var tried [triedBuckets]*Rule
+	n := 0
+	url := m.url
+	start := -1
+	for i := 0; i <= len(url); i++ {
+		if i < len(url) && isTokenByte(url[i]) {
+			if start < 0 {
+				start = i
+			}
+			continue
+		}
+		if start < 0 {
+			continue
+		}
+		tok := url[start:i]
+		start = -1
+		if len(tok) < minTokenLen {
+			continue
+		}
+		bucket := l.indexed[tok]
+		if len(bucket) == 0 || ruleIn(tried[:n], bucket[0]) {
+			continue
+		}
+		if n < len(tried) {
+			tried[n] = bucket[0]
+			n++
+		}
+		for _, r := range bucket {
+			if r.match(m) {
+				return true
 			}
 		}
 	}
 	for _, r := range l.untokenized {
-		if r.MatchRequest(req) {
+		if r.match(m) {
+			return true
+		}
+	}
+	return false
+}
+
+func ruleIn(rules []*Rule, r *Rule) bool {
+	for _, x := range rules {
+		if x == r {
 			return true
 		}
 	}
@@ -146,26 +188,6 @@ func ruleToken(r *Rule) string {
 		return ""
 	}
 	return best
-}
-
-// urlTokens splits a lower-cased URL into its alphanumeric runs of at least
-// minTokenLen bytes.
-func urlTokens(url string) []string {
-	var toks []string
-	start := -1
-	for i := 0; i <= len(url); i++ {
-		alnum := i < len(url) && isTokenByte(url[i])
-		if alnum && start < 0 {
-			start = i
-		}
-		if !alnum && start >= 0 {
-			if i-start >= minTokenLen {
-				toks = append(toks, url[start:i])
-			}
-			start = -1
-		}
-	}
-	return toks
 }
 
 func isTokenByte(c byte) bool {

@@ -17,11 +17,66 @@ type Request struct {
 // MatchRequest reports whether the rule matches the request, considering the
 // pattern and all options.
 func (r *Rule) MatchRequest(req Request) bool {
-	if r.types&req.Type == 0 && req.Type != 0 {
+	m := newMatchCtx(req)
+	return r.match(&m)
+}
+
+// matchCtx is one request as the rules read it: the lower-cased URL, and
+// the URL's host span, the page host and the $third-party bit computed on
+// first use, so a request checked against many candidate rules scans and
+// parses each URL at most once.
+type matchCtx struct {
+	req Request
+	url string // strings.ToLower(req.URL)
+
+	hostStart, hostEnd         int
+	host                       string
+	thirdParty                 bool
+	haveSpan, haveHost, haveTP bool
+}
+
+func newMatchCtx(req Request) matchCtx {
+	return matchCtx{req: req, url: strings.ToLower(req.URL)}
+}
+
+// urlHost returns the [start, end) byte range of the lower-cased URL's
+// host: after "://" (or from 0 without one) up to the first '/', '?',
+// ':' or '#'.
+func (m *matchCtx) urlHost() (start, end int) {
+	if !m.haveSpan {
+		url := m.url
+		start, end = 0, len(url)
+		if i := strings.Index(url, "://"); i >= 0 {
+			start = i + 3
+		}
+		if i := strings.IndexAny(url[start:], "/?:#"); i >= 0 {
+			end = start + i
+		}
+		m.hostStart, m.hostEnd, m.haveSpan = start, end, true
+	}
+	return m.hostStart, m.hostEnd
+}
+
+func (m *matchCtx) pageHost() string {
+	if !m.haveHost {
+		m.host, m.haveHost = urlutil.Host(m.req.PageURL), true
+	}
+	return m.host
+}
+
+func (m *matchCtx) isThirdParty() bool {
+	if !m.haveTP {
+		m.thirdParty, m.haveTP = urlutil.IsThirdParty(m.req.URL, m.req.PageURL), true
+	}
+	return m.thirdParty
+}
+
+func (r *Rule) match(m *matchCtx) bool {
+	if r.types&m.req.Type == 0 && m.req.Type != 0 {
 		return false
 	}
 	if r.thirdParty != 0 {
-		tp := urlutil.IsThirdParty(req.URL, req.PageURL)
+		tp := m.isThirdParty()
 		if r.thirdParty == 1 && !tp {
 			return false
 		}
@@ -30,7 +85,7 @@ func (r *Rule) MatchRequest(req Request) bool {
 		}
 	}
 	if len(r.includeDomains) > 0 || len(r.excludeDomains) > 0 {
-		host := urlutil.Host(req.PageURL)
+		host := m.pageHost()
 		if len(r.includeDomains) > 0 && !domainInList(host, r.includeDomains) {
 			return false
 		}
@@ -38,7 +93,7 @@ func (r *Rule) MatchRequest(req Request) bool {
 			return false
 		}
 	}
-	return r.matchURL(strings.ToLower(req.URL))
+	return r.matchURL(m)
 }
 
 // domainInList reports whether host equals or is a subdomain of any entry.
@@ -51,19 +106,27 @@ func domainInList(host string, list []string) bool {
 	return false
 }
 
-// matchURL matches the rule pattern against a lower-cased URL.
-func (r *Rule) matchURL(url string) bool {
+// matchURL matches the rule pattern against the request's lower-cased URL.
+func (r *Rule) matchURL(m *matchCtx) bool {
+	url := m.url
 	switch {
 	case r.anchorStart:
 		end, ok := r.matchSegmentsAt(url, 0)
 		return ok && (!r.anchorEnd || end == len(url))
 	case r.anchorDomain:
-		for _, start := range domainAnchorPositions(url) {
+		// A "||" rule may start at the beginning of the host or right
+		// after any dot inside it.
+		start, hostEnd := m.urlHost()
+		for {
 			if end, ok := r.matchSegmentsAt(url, start); ok && (!r.anchorEnd || end == len(url)) {
 				return true
 			}
+			dot := strings.IndexByte(url[start:hostEnd], '.')
+			if dot < 0 {
+				return false
+			}
+			start += dot + 1
 		}
-		return false
 	default:
 		for start := 0; start <= len(url); start++ {
 			if end, ok := r.matchSegmentsAt(url, start); ok && (!r.anchorEnd || end == len(url)) {
@@ -150,27 +213,4 @@ func isSeparator(c byte) bool {
 		return false
 	}
 	return true
-}
-
-// domainAnchorPositions returns the positions in url where a "||" rule may
-// start matching: the beginning of the host and after each dot inside it.
-func domainAnchorPositions(url string) []int {
-	hostStart := 0
-	if i := strings.Index(url, "://"); i >= 0 {
-		hostStart = i + 3
-	}
-	hostEnd := len(url)
-	for i := hostStart; i < len(url); i++ {
-		if c := url[i]; c == '/' || c == '?' || c == ':' || c == '#' {
-			hostEnd = i
-			break
-		}
-	}
-	positions := []int{hostStart}
-	for i := hostStart; i < hostEnd; i++ {
-		if url[i] == '.' {
-			positions = append(positions, i+1)
-		}
-	}
-	return positions
 }

@@ -40,9 +40,10 @@ type memoEntry struct {
 	val bool
 }
 
-// DefaultMemoSize bounds the match memo used by the tree builder: large
+// DefaultMemoSize is the memo capacity NewMemo picks by default: large
 // enough to hold every unique (URL, host, type) of a multi-thousand-page
-// crawl, small enough to stay a few megabytes of keys.
+// crawl, small enough to stay a few megabytes of keys. (The tree builder
+// keeps its own per-site decision tables on key-cache ids instead.)
 const DefaultMemoSize = 1 << 16
 
 // NewMemo builds a match memo over l holding up to capacity decisions

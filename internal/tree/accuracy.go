@@ -55,8 +55,8 @@ func (b *Builder) EvaluateAttributionKeyed(v *measurement.Visit, keys *urlutil.K
 	lookup := b.key
 	if keys != nil && !b.RawURLIdentity {
 		lookup = func(raw string) (string, bool) {
-			if key, _, stripped, ok := keys.Lookup(raw); ok {
-				return key, stripped
+			if ref, ok := keys.Lookup(raw); ok {
+				return ref.Key, ref.Stripped
 			}
 			return b.key(raw)
 		}

@@ -2,8 +2,10 @@ package tree
 
 import (
 	"encoding/json"
+	"sync"
 	"testing"
 
+	"webmeasure/internal/filterlist"
 	"webmeasure/internal/measurement"
 	"webmeasure/internal/urlutil"
 )
@@ -80,4 +82,79 @@ func TestBuildKeyedPartialCache(t *testing.T) {
 	if string(pj) != string(kj) {
 		t.Errorf("partial-cache build differs:\nplain: %s\nkeyed: %s", pj, kj)
 	}
+}
+
+// TestDecisionTableSharedAcrossBuilds shares one Builder and one site
+// cache between concurrent builds of pages on three hosts, under rules
+// that read the page host ($domain, $third-party) and the request type:
+// every tree must equal an uncached build, so a decision cached for one
+// (URL, page host, type) never leaks into another.
+func TestDecisionTableSharedAcrossBuilds(t *testing.T) {
+	filter, skipped := filterlist.Parse("/widget$domain=a.news.example\n/media$image\n||cdn.example/px$third-party\n")
+	if skipped != 0 {
+		t.Fatalf("filter skipped %d", skipped)
+	}
+	mk := func(page string, mediaType measurement.ResourceType) *measurement.Visit {
+		return &measurement.Visit{
+			Site: "news.example", PageURL: page, Profile: "Sim1", Success: true,
+			Requests: []measurement.Request{
+				{URL: page, Type: measurement.TypeMainFrame},
+				{URL: "https://cdn.example/widget.js", Type: measurement.TypeScript},
+				{URL: "https://cdn.example/media.bin", Type: mediaType},
+				{URL: "https://cdn.example/px.gif", Type: measurement.TypeImage},
+			},
+		}
+	}
+	visits := []*measurement.Visit{
+		mk("https://a.news.example/p1", measurement.TypeImage),
+		mk("https://b.news.example/p2", measurement.TypeMedia),
+		mk("https://cdn.example/home", measurement.TypeImage),
+		mk("https://a.news.example/p3", measurement.TypeMedia),
+	}
+	var raws []string
+	for _, v := range visits {
+		raws = append(raws, visitStrings(v)...)
+	}
+	cache := urlutil.BuildKeyCache(raws)
+	want := make([]string, len(visits))
+	for i, v := range visits {
+		tr, err := (&Builder{Filter: filter}).Build(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, _ := json.Marshal(tr.Record())
+		want[i] = string(rec)
+	}
+	tracking := func(i int, url string) bool {
+		tr, _ := (&Builder{Filter: filter}).Build(visits[i])
+		key, _ := urlutil.Normalize(url)
+		return tr.Node(key).Tracking
+	}
+	if !tracking(0, "https://cdn.example/widget.js") || tracking(1, "https://cdn.example/widget.js") ||
+		!tracking(0, "https://cdn.example/media.bin") || tracking(1, "https://cdn.example/media.bin") ||
+		!tracking(1, "https://cdn.example/px.gif") || tracking(2, "https://cdn.example/px.gif") {
+		t.Fatal("fixture no longer makes decisions depend on page host and type")
+	}
+
+	shared := &Builder{Filter: filter}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				i := (g + rep) % len(visits)
+				tr, err := shared.BuildKeyed(visits[i], cache)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if rec, _ := json.Marshal(tr.Record()); string(rec) != want[i] {
+					t.Errorf("visit %d: shared-table build differs:\ngot:  %s\nwant: %s", i, rec, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -8,8 +8,10 @@ package tree
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"webmeasure/internal/filterlist"
 	"webmeasure/internal/measurement"
@@ -256,22 +258,43 @@ type Builder struct {
 	RawURLIdentity   bool
 	IgnoreCallStacks bool
 
-	// memo caches Filter's match decisions across visits (and across the
-	// analysis worker pool sharing this builder), so a URL requested by
-	// every profile of every page pays the rule engine once.
-	memoMu sync.Mutex
-	memo   *filterlist.Memo
+	// tables holds Filter's tracking decisions per (site key cache, page
+	// host), shared by every build of the site's pages on any goroutine;
+	// tablesFilter is the list they were computed with. The mutex is taken
+	// once per build, never per request.
+	tablesMu     sync.Mutex
+	tablesFilter *filterlist.List
+	tables       map[tableKey][]atomic.Uint32
 }
 
-// matchMemo returns the builder's shared match memo for the current
-// Filter, creating it on first use and replacing it when Filter changed.
-func (b *Builder) matchMemo() *filterlist.Memo {
-	b.memoMu.Lock()
-	defer b.memoMu.Unlock()
-	if b.memo == nil || b.memo.List() != b.Filter {
-		b.memo = filterlist.NewMemo(b.Filter, filterlist.DefaultMemoSize)
+// tableKey names one decision table. A filter-list decision depends only
+// on the request URL, the page host and the request type (see
+// filterlist.Memo), so pages of a site that share a host share a table:
+// one word per raw URL id of the site's key cache, holding a (decided,
+// matched) bit pair for each of the twelve single-bit filter types
+// filterType produces.
+type tableKey struct {
+	keys *urlutil.KeyCache
+	host string
+}
+
+// decisionTable returns the decision table of keys' site under the page
+// URL's host, creating it on first use. A Builder keeps the tables of
+// every site it has built; use one Builder per analysis.
+func (b *Builder) decisionTable(keys *urlutil.KeyCache, pageURL string) []atomic.Uint32 {
+	tk := tableKey{keys: keys, host: urlutil.Host(pageURL)}
+	b.tablesMu.Lock()
+	defer b.tablesMu.Unlock()
+	if b.tables == nil || b.tablesFilter != b.Filter {
+		b.tables = make(map[tableKey][]atomic.Uint32)
+		b.tablesFilter = b.Filter
 	}
-	return b.memo
+	t := b.tables[tk]
+	if t == nil {
+		t = make([]atomic.Uint32, keys.NumRaw())
+		b.tables[tk] = t
+	}
+	return t
 }
 
 // key computes a node identity under the builder's identity mode.
@@ -282,15 +305,19 @@ func (b *Builder) key(rawURL string) (string, bool) {
 	return urlutil.Normalize(rawURL)
 }
 
-// keyed is the per-Build lookup state. With a KeyCache (columnar inputs)
-// node identities resolve to pre-interned int32 ids and node lookups are
-// array indexes; without one (JSONL inputs, ablations) every lookup goes
-// through Normalize and the string-keyed node map as before. Both paths
-// produce identical trees.
+// keyed is the per-Build lookup state. With a KeyCache node identities
+// resolve to pre-interned int32 ids, node lookups are array indexes and
+// tracking decisions come from the site's decision table by raw id;
+// without one (ablations, hand-built visits) every lookup goes through
+// Normalize and the string-keyed node map and every new node is matched
+// against the filter list directly. Both paths produce identical trees.
 type keyed struct {
 	b    *Builder
 	keys *urlutil.KeyCache
 	byID []*Node // key id → node, nil where absent
+	// decisions is the site's decision table for this page's host; nil
+	// without a filter or a cache.
+	decisions []atomic.Uint32
 	// pageSite is the visited page's eTLD+1, resolved once per build so
 	// the cached per-key sites classify first- vs third-party without
 	// re-parsing either URL. Valid only when haveSite.
@@ -298,16 +325,14 @@ type keyed struct {
 	haveSite bool
 }
 
-// key resolves a raw URL to (node key, key id, stripped); id is -1 when
-// the URL is outside the cache's universe (or no cache is attached).
-func (k *keyed) key(rawURL string) (string, int32, bool) {
-	if k.keys != nil {
-		if key, id, stripped, ok := k.keys.Lookup(rawURL); ok {
-			return key, id, stripped
-		}
+// key resolves a raw URL to its node key; ID and RawID are -1 when the
+// URL is outside the cache's universe (or no cache is attached).
+func (k *keyed) key(rawURL string) urlutil.Ref {
+	if ref, ok := k.keys.Lookup(rawURL); ok {
+		return ref
 	}
 	key, stripped := k.b.key(rawURL)
-	return key, -1, stripped
+	return urlutil.Ref{Key: key, ID: -1, RawID: -1, Stripped: stripped}
 }
 
 // node looks a key up, by id when pre-interned.
@@ -332,12 +357,14 @@ func (b *Builder) Build(v *measurement.Visit) (*Tree, error) {
 	return b.BuildKeyed(v, nil)
 }
 
-// BuildKeyed is Build consuming a pre-interned key cache (one per
-// columnar site block): node identities arrive as int32 key ids, so the
-// hot loop skips both the per-request URL normalization and the string
-// hashing of the node map — the re-interning the int32 comparison kernel
-// otherwise pays again. keys may be nil; the RawURLIdentity ablation
-// ignores it (raw identities are not what the cache holds).
+// BuildKeyed is Build consuming a pre-interned key cache (one per site):
+// node identities arrive as int32 key ids, so the hot loop skips both the
+// per-request URL normalization and the string hashing of the node map —
+// the re-interning the int32 comparison kernel otherwise pays again — and
+// tracking decisions come from the site's decision table by raw URL id,
+// so each (URL, page host, type) of a site meets the rule engine once.
+// keys may be nil; the RawURLIdentity ablation ignores it (raw
+// identities are not what the cache holds).
 func (b *Builder) BuildKeyed(v *measurement.Visit, keys *urlutil.KeyCache) (*Tree, error) {
 	if !v.Success {
 		return nil, fmt.Errorf("tree: visit of %s by %s failed: %s", v.PageURL, v.Profile, v.Failure)
@@ -346,10 +373,6 @@ func (b *Builder) BuildKeyed(v *measurement.Visit, keys *urlutil.KeyCache) (*Tre
 		return nil, fmt.Errorf("tree: visit of %s by %s has no requests", v.PageURL, v.Profile)
 	}
 
-	var matcher *filterlist.Memo
-	if b.Filter != nil {
-		matcher = b.matchMemo()
-	}
 	t := &Tree{
 		Site:    v.Site,
 		PageURL: v.PageURL,
@@ -360,14 +383,18 @@ func (b *Builder) BuildKeyed(v *measurement.Visit, keys *urlutil.KeyCache) (*Tre
 	if keys != nil && !b.RawURLIdentity {
 		k.keys = keys
 		k.byID = make([]*Node, keys.NumKeys())
+		if b.Filter != nil {
+			k.decisions = b.decisionTable(keys, v.PageURL)
+		}
 	}
-	rootKey, rootID, stripped := k.key(v.PageURL)
-	if stripped {
+	root := k.key(v.PageURL)
+	rootKey := root.Key
+	if root.Stripped {
 		t.StrippedURLs++
 	}
 	if k.keys != nil {
-		if rootID >= 0 {
-			k.pageSite = k.keys.SiteByID(rootID)
+		if root.ID >= 0 {
+			k.pageSite = k.keys.SiteByID(root.ID)
 		} else {
 			k.pageSite = urlutil.Site(v.PageURL)
 		}
@@ -380,18 +407,19 @@ func (b *Builder) BuildKeyed(v *measurement.Visit, keys *urlutil.KeyCache) (*Tre
 		Party:    FirstParty,
 		chainKey: rootKey + "\x00",
 	}
-	k.insert(t, t.Root, rootID)
+	k.insert(t, t.Root, root.ID)
 
 	for _, req := range v.Requests {
 		t.TotalRequests++
-		key, id, wasStripped := k.key(req.URL)
-		if wasStripped {
+		ref := k.key(req.URL)
+		if ref.Stripped {
 			t.StrippedURLs++
 		}
+		key := ref.Key
 		if key == rootKey {
 			continue // the navigation request is the root itself
 		}
-		if k.node(t, key, id) != nil {
+		if k.node(t, key, ref.ID) != nil {
 			// Equal or near-equal resources loaded via different URLs (or
 			// repeatedly) merge into one node; the first observed branch
 			// wins (§3.2, limitations §6).
@@ -402,7 +430,7 @@ func (b *Builder) BuildKeyed(v *measurement.Visit, keys *urlutil.KeyCache) (*Tre
 			Key:         key,
 			RawURL:      req.URL,
 			Type:        req.Type,
-			Party:       k.party(req.URL, id, v.PageURL),
+			Party:       k.party(req.URL, ref.ID, v.PageURL),
 			Status:      req.Status,
 			ContentType: req.ContentType,
 			BodySize:    req.BodySize,
@@ -412,37 +440,64 @@ func (b *Builder) BuildKeyed(v *measurement.Visit, keys *urlutil.KeyCache) (*Tre
 			// extends in O(len) instead of re-walking to the root.
 			chainKey: parent.chainKey + key + "\x00",
 		}
-		if matcher != nil {
-			node.Tracking = matcher.Matches(filterlist.Request{
+		if b.Filter != nil {
+			node.Tracking = k.tracking(filterlist.Request{
 				URL:     req.URL,
 				PageURL: v.PageURL,
 				Type:    filterType(req.Type),
-			})
+			}, ref.RawID)
 		}
 		parent.Children = append(parent.Children, node)
-		k.insert(t, node, id)
+		k.insert(t, node, ref.ID)
 	}
 	t.Finalize()
 	return t, nil
+}
+
+// tracking classifies a request against the builder's filter list,
+// through the decision table when the request URL has a raw id: the
+// first build to meet a (URL, page host, type) runs the rule engine and
+// publishes the answer; concurrent builds racing on one word store the
+// same bits, so the decision never depends on scheduling.
+func (k *keyed) tracking(req filterlist.Request, rawID int32) bool {
+	if k.decisions == nil || rawID < 0 {
+		return k.b.Filter.Matches(req)
+	}
+	shift := 2 * uint(bits.TrailingZeros16(uint16(req.Type)))
+	cell := &k.decisions[rawID]
+	if w := cell.Load(); w>>shift&1 != 0 {
+		return w>>(shift+1)&1 != 0
+	}
+	match := k.b.Filter.Matches(req)
+	set := uint32(1) << shift
+	if match {
+		set |= 2 << shift
+	}
+	for {
+		old := cell.Load()
+		if old&set == set || cell.CompareAndSwap(old, old|set) {
+			return match
+		}
+	}
 }
 
 // resolveParent implements §3.2's attribution order: redirects, then the
 // latest call-stack entry, then the parent frame, then the root.
 func (k *keyed) resolveParent(t *Tree, req measurement.Request, rootKey string) *Node {
 	if req.RedirectFrom != "" {
-		if key, id, _ := k.key(req.RedirectFrom); k.node(t, key, id) != nil {
-			return k.node(t, key, id)
+		if r := k.key(req.RedirectFrom); k.node(t, r.Key, r.ID) != nil {
+			return k.node(t, r.Key, r.ID)
 		}
 	}
 	if len(req.CallStack) > 0 && !k.b.IgnoreCallStacks {
 		last := req.CallStack[len(req.CallStack)-1]
-		if key, id, _ := k.key(last.URL); k.node(t, key, id) != nil {
-			return k.node(t, key, id)
+		if r := k.key(last.URL); k.node(t, r.Key, r.ID) != nil {
+			return k.node(t, r.Key, r.ID)
 		}
 	}
 	if req.FrameID != measurement.TopFrameID && req.FrameURL != "" {
-		if key, id, _ := k.key(req.FrameURL); k.node(t, key, id) != nil {
-			return k.node(t, key, id)
+		if r := k.key(req.FrameURL); k.node(t, r.Key, r.ID) != nil {
+			return k.node(t, r.Key, r.ID)
 		}
 	}
 	return t.nodes[rootKey]

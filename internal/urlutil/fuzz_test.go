@@ -58,3 +58,57 @@ func FuzzSite(f *testing.F) {
 		}
 	})
 }
+
+// FuzzKeyCache pins the key cache to the functions it precomputes. For
+// arbitrary raw strings (a duplicate included), Lookup must return
+// Normalize's key and stripped flag, SiteByID of the key id must equal
+// Site of the raw string — the claim that lets consumers classify
+// parties from the key table — and raw ids must be dense in first-seen
+// order and stable across lookups.
+func FuzzKeyCache(f *testing.F) {
+	f.Add("https://foo.com/a.js?s=1", "https://FOO.com/a.js?s=2", "https://a.b.example.co.uk:8443/x#f")
+	f.Add("http://[::1", "text/javascript", "")
+	f.Add("//proto-relative.example/x?a=b", "HTTPS://Sub.Site.example./p?x", "https://com/")
+	f.Fuzz(func(t *testing.T, a, b, c string) {
+		raws := []string{a, b, a, c}
+		kc := BuildKeyCache(raws)
+		var order []string
+		seen := map[string]int32{}
+		for _, raw := range raws {
+			if _, ok := seen[raw]; !ok {
+				seen[raw] = int32(len(order))
+				order = append(order, raw)
+			}
+		}
+		if kc.NumRaw() != len(order) {
+			t.Fatalf("NumRaw = %d, want %d distinct raws", kc.NumRaw(), len(order))
+		}
+		keys := map[string]int32{}
+		for _, raw := range raws {
+			ref, ok := kc.Lookup(raw)
+			if !ok {
+				t.Fatalf("Lookup(%q) missed a raw the cache was built from", raw)
+			}
+			key, stripped := Normalize(raw)
+			if ref.Key != key || ref.Stripped != stripped {
+				t.Fatalf("Lookup(%q) = (%q, %v), Normalize = (%q, %v)", raw, ref.Key, ref.Stripped, key, stripped)
+			}
+			if ref.RawID != seen[raw] {
+				t.Fatalf("Lookup(%q).RawID = %d, want first-seen id %d", raw, ref.RawID, seen[raw])
+			}
+			if id, ok := keys[key]; ok && id != ref.ID {
+				t.Fatalf("key %q has ids %d and %d", key, id, ref.ID)
+			}
+			keys[key] = ref.ID
+			if ref.ID < 0 || int(ref.ID) >= kc.NumKeys() {
+				t.Fatalf("key id %d outside [0, %d)", ref.ID, kc.NumKeys())
+			}
+			if got, want := kc.SiteByID(ref.ID), Site(raw); got != want {
+				t.Fatalf("SiteByID(Lookup(%q)) = %q, Site = %q", raw, got, want)
+			}
+		}
+		if len(keys) != kc.NumKeys() {
+			t.Fatalf("NumKeys = %d, want %d distinct keys", kc.NumKeys(), len(keys))
+		}
+	})
+}

@@ -24,17 +24,25 @@ import (
 // The boolean result reports whether any query value was actually dropped
 // (the paper reports this applied to ~40% of observed URLs).
 func Normalize(raw string) (norm string, stripped bool) {
+	norm, stripped, _ = normalize(raw)
+	return norm, stripped
+}
+
+// normalize is Normalize also returning Host(raw), read off the same
+// parse.
+func normalize(raw string) (norm string, stripped bool, host string) {
 	u, err := url.Parse(raw)
 	if err != nil {
 		// Unparseable URLs are compared verbatim; the paper compares
 		// whatever string the instrumentation recorded.
-		return raw, false
+		return raw, false, ""
 	}
+	host = strings.ToLower(u.Hostname())
 	u.Fragment = ""
 	u.Host = strings.ToLower(u.Host)
 	u.Scheme = strings.ToLower(u.Scheme)
 	if u.RawQuery == "" {
-		return u.String(), false
+		return u.String(), false, host
 	}
 	names := queryNames(u.RawQuery)
 	var b strings.Builder
@@ -57,7 +65,7 @@ func Normalize(raw string) (norm string, stripped bool) {
 		}
 	}
 	u.RawQuery = b.String()
-	return u.String(), stripped
+	return u.String(), stripped, host
 }
 
 type queryName struct {

@@ -34,6 +34,7 @@ import (
 	"webmeasure/internal/report"
 	"webmeasure/internal/trace"
 	"webmeasure/internal/tranco"
+	"webmeasure/internal/urlutil"
 	"webmeasure/internal/webgen"
 )
 
@@ -618,13 +619,13 @@ func newColStream(ctx context.Context, cfg Config) (*colStream, error) {
 	return &colStream{u: u, boundaries: boundaries, ds: ds, stream: stream, cfg: cfg}, nil
 }
 
-// addBlock feeds one decoded site block to the analysis. Blocks must
-// arrive in ascending site order.
-func (cs *colStream) addBlock(sb *colstore.SiteBlock) error {
+// addBlock feeds one decoded site block and its key cache to the
+// analysis. Blocks must arrive in ascending site order.
+func (cs *colStream) addBlock(sb *colstore.SiteBlock, keys *urlutil.KeyCache) error {
 	for _, v := range sb.Visits {
 		cs.ds.Add(v)
 	}
-	return cs.stream.AddSite(sb.Site, dataset.GroupVisits(sb.Visits), sb.KeyCache())
+	return cs.stream.AddSite(sb.Site, dataset.GroupVisits(sb.Visits), keys)
 }
 
 func (cs *colStream) finish() (*Results, error) {
@@ -642,14 +643,14 @@ func (cs *colStream) finish() (*Results, error) {
 }
 
 // loadAndAnalyzeColIndexed streams a random-access columnar dataset
-// through the incremental analysis in footer-index order: decode one
-// site block, analyze its pages (through the block's pre-interned key
-// cache), move to the next. The decoded visits are retained — the
-// derived analyses read raw requests back after the page pool — but
-// they alias each block's string table, and no JSONL-sized row buffers
-// ever exist. The footer lists blocks in ascending site order whatever
-// order the body holds, so this path accepts crawl-order files at the
-// same bounded decode memory as site-sorted ones.
+// through the incremental analysis in footer-index order: one goroutine
+// decodes each site block and builds its key cache while the pages of
+// the block before it run on the worker pool. The decoded visits are
+// retained — the derived analyses read raw requests back after the page
+// pool — but they alias each block's string table, and no JSONL-sized
+// row buffers ever exist. The footer lists blocks in ascending site
+// order whatever order the body holds, so this path accepts crawl-order
+// files at the same bounded decode memory as site-sorted ones.
 func loadAndAnalyzeColIndexed(ctx context.Context, ra io.ReaderAt, size int64, cfg Config) (*Results, error) {
 	colr, err := dataset.OpenCol(ra, size)
 	if err != nil {
@@ -659,16 +660,60 @@ func loadAndAnalyzeColIndexed(ctx context.Context, ra io.ReaderAt, size int64, c
 	if err != nil {
 		return nil, err
 	}
-	for bi := range colr.Index().Blocks {
-		sb, err := colr.Block(bi)
-		if err != nil {
-			return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
+	blocks, stop := prefetchBlocks(colr)
+	defer stop()
+	for db := range blocks {
+		if db.err != nil {
+			return nil, fmt.Errorf("webmeasure: load dataset: %w", db.err)
 		}
-		if err := cs.addBlock(sb); err != nil {
+		if err := cs.addBlock(db.sb, db.keys); err != nil {
 			return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
 		}
 	}
 	return cs.finish()
+}
+
+// decodedBlock is one prefetched site block with its key cache, or the
+// error that ended decoding.
+type decodedBlock struct {
+	sb   *colstore.SiteBlock
+	keys *urlutil.KeyCache
+	err  error
+}
+
+// prefetchBlocks decodes colr's blocks in footer order on one goroutine,
+// building each block's key cache there too. The channel is unbuffered,
+// so while the caller analyzes block i at most block i+1 is decoded and
+// waiting: decode memory stays two blocks, not the file. A decode error
+// is the last value sent. stop ends the producer early and returns once
+// it has exited; the caller must call it on every path, and a canceled
+// analysis does so by returning.
+func prefetchBlocks(colr *colstore.Reader) (blocks <-chan decodedBlock, stop func()) {
+	out := make(chan decodedBlock)
+	done := make(chan struct{})
+	go func() {
+		defer close(out)
+		for bi := range colr.Index().Blocks {
+			db := decodedBlock{}
+			db.sb, db.err = colr.Block(bi)
+			if db.err == nil {
+				db.keys = db.sb.KeyCache()
+			}
+			select {
+			case out <- db:
+			case <-done:
+				return
+			}
+			if db.err != nil {
+				return
+			}
+		}
+	}()
+	return out, func() {
+		close(done)
+		for range out {
+		}
+	}
 }
 
 // loadAndAnalyzeCol handles a non-seekable columnar stream. The body's
@@ -692,7 +737,7 @@ func loadAndAnalyzeCol(ctx context.Context, r io.Reader, cfg Config) (*Results, 
 	}
 	sort.Slice(blocks, func(i, j int) bool { return blocks[i].Site < blocks[j].Site })
 	for _, sb := range blocks {
-		if err := cs.addBlock(sb); err != nil {
+		if err := cs.addBlock(sb, sb.KeyCache()); err != nil {
 			return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
 		}
 	}
