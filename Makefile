@@ -1,13 +1,14 @@
 # Build/verify targets. tier1 is the seed gate every PR must keep green;
-# tier2 adds static vetting (go vet over every package, the job-server
-# service included), the race detector over the concurrent pipeline
-# (crawler clients, analysis worker pool, metrics, service queue), the
-# serve-smoke end-to-end boot of cmd/serve, the trace-smoke validation of
-# the span-trace exports, and the per-package coverage floor (cover).
+# tier2 adds the gofmt check (fmt-check), static vetting (go vet over
+# every package, the job-server service included), the race detector
+# over the concurrent pipeline (crawler clients, analysis worker pool,
+# metrics, service queue), the serve-smoke end-to-end boot of cmd/serve,
+# the trace-smoke validation of the span-trace exports, and the
+# per-package coverage floor (cover).
 
 GO ?= go
 
-.PHONY: all tier1 tier2 bench bench-workers bench-service bench-throughput bench-json bench-dataset bench-crawl bench-smoke serve-smoke trace-smoke shard-smoke col-smoke load-smoke drift-smoke race-service race-crawl cover fuzz-smoke clean
+.PHONY: all tier1 tier2 fmt-check bench bench-workers bench-service bench-throughput bench-json bench-dataset bench-crawl bench-smoke serve-smoke trace-smoke shard-smoke col-smoke load-smoke drift-smoke race-service race-crawl cover fuzz-smoke clean
 
 all: tier1
 
@@ -15,9 +16,13 @@ tier1:
 	$(GO) build ./...
 	$(GO) test ./...
 
-tier2: serve-smoke trace-smoke shard-smoke col-smoke load-smoke drift-smoke race-service race-crawl cover bench-smoke
+tier2: fmt-check serve-smoke trace-smoke shard-smoke col-smoke load-smoke drift-smoke race-service race-crawl cover bench-smoke
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
+
+# Fail when any Go file is not gofmt-formatted, listing the offenders.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Race-harden the serving layer specifically: the autoscaling pool
 # (grow/shrink/drain under concurrent submits and cancels), the scaler,
@@ -59,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzShardPlanPartition$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePartial$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzColBlockDecode$$' -fuzztime $(FUZZTIME) ./internal/colstore
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenCol$$' -fuzztime $(FUZZTIME) ./internal/colstore
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecCanonical$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzConfigParse$$' -fuzztime $(FUZZTIME) ./internal/loadgen
 	$(GO) test -run '^$$' -fuzz '^FuzzBaselineDecode$$' -fuzztime $(FUZZTIME) ./internal/drift

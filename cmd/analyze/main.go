@@ -157,7 +157,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		tracer = trace.New(trace.Options{Seed: *seed, SampleEvery: *traceSample, Metrics: reg})
 	}
 	stopProgress := metrics.StartProgress(ctx, stderr, reg, *progress)
-	res, err := webmeasure.LoadAndAnalyzeShardedContext(ctx, f, webmeasure.Config{
+	res, err := webmeasure.LoadAndAnalyzeContext(ctx, f, webmeasure.Config{
 		Seed: *seed, Sites: *sites, PagesPerSite: *pages, Epoch: *epoch,
 		Workers: *workers, Metrics: reg, Tracer: tracer,
 		Shards: *shards, ShardSeed: *shardSeed,

@@ -73,16 +73,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // caseResult is one measured (format, op, scale) cell.
 type caseResult struct {
-	Name    string  `json:"name"`
-	Scale   int     `json:"scale"`
-	Format  string  `json:"format"`
-	Op      string  `json:"op"`
-	Sites   int     `json:"sites"`
-	Bytes   int64   `json:"bytes"`
-	Visits  int     `json:"visits"`
-	WallMS  float64 `json:"wall_ms"`
-	MBPerS  float64 `json:"mb_per_s"`
-	RSSKB   int64   `json:"max_rss_kb"`
+	Name   string  `json:"name"`
+	Scale  int     `json:"scale"`
+	Format string  `json:"format"`
+	Op     string  `json:"op"`
+	Sites  int     `json:"sites"`
+	Bytes  int64   `json:"bytes"`
+	Visits int     `json:"visits"`
+	WallMS float64 `json:"wall_ms"`
+	MBPerS float64 `json:"mb_per_s"`
+	RSSKB  int64   `json:"max_rss_kb"`
 }
 
 // dsPath is the naming convention shared by the -gen child and the
@@ -146,7 +146,7 @@ func runCase(input, op string, sites, pages int, stdout, stderr io.Writer) int {
 		}
 		visits = ds.Len()
 	case "analyze":
-		res, err := webmeasure.LoadAndAnalyze(f, webmeasure.Config{
+		res, err := webmeasure.LoadAndAnalyzeContext(context.Background(), f, webmeasure.Config{
 			Seed: benchSeed, Sites: sites, PagesPerSite: pages,
 		})
 		if err != nil {

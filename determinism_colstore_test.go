@@ -90,7 +90,7 @@ func analyzeArtifacts(t *testing.T, raw []byte, cfg Config, shards int) formatEx
 	t.Helper()
 	cfg.Shards = shards
 	if shards > 1 {
-		res, err := LoadAndAnalyzeSharded(bytes.NewReader(raw), cfg)
+		res, err := LoadAndAnalyzeContext(context.Background(), bytes.NewReader(raw), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func analyzeArtifacts(t *testing.T, raw []byte, cfg Config, shards int) formatEx
 	}
 	tc := trace.New(trace.Options{Seed: cfg.Seed, SampleEvery: 1})
 	cfg.Tracer = tc
-	res, err := LoadAndAnalyze(bytes.NewReader(raw), cfg)
+	res, err := LoadAndAnalyzeContext(context.Background(), bytes.NewReader(raw), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

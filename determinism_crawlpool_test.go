@@ -159,13 +159,13 @@ func TestCrawlStreamMatchesRun(t *testing.T) {
 	want := renderArtifacts(t, res)
 	// Indexed load path: a bytes.Reader is seekable, so the footer index
 	// drives block iteration in ascending site order.
-	indexed, err := LoadAndAnalyze(bytes.NewReader(gotCol.Bytes()), cfg)
+	indexed, err := LoadAndAnalyzeContext(context.Background(), bytes.NewReader(gotCol.Bytes()), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Buffered fallback path: hide the seekability so ScanColSites runs
-	// in body order and the loader must sort the blocks itself.
-	buffered, err := LoadAndAnalyze(io.MultiReader(bytes.NewReader(gotCol.Bytes())), cfg)
+	// Non-seekable path: hide the seekability so the loader must read
+	// the stream into memory before it can consult the footer index.
+	buffered, err := LoadAndAnalyzeContext(context.Background(), io.MultiReader(bytes.NewReader(gotCol.Bytes())), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

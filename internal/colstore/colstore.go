@@ -22,10 +22,12 @@
 // blocks containing its pages instead of scanning the whole file.
 //
 // Two read paths cover the two workloads: Scan streams blocks in file
-// order from any io.Reader (the site-by-site analysis pipeline), and
-// OpenReader random-accesses blocks through the footer from an io.ReaderAt
-// (shard workers, site-filtered loads). Both verify per-record CRCs and
-// fail with clean errors on truncated or corrupted input.
+// order from any io.Reader (whole-dataset loads such as conversion and
+// crawl resume), and OpenReader random-accesses blocks through the footer
+// from an io.ReaderAt (the site-by-site analysis, shard workers). Both
+// verify per-record CRCs and fail with clean errors on truncated or
+// corrupted input; OpenReader also rejects footer block ranges outside
+// the file body.
 package colstore
 
 import (

@@ -2,7 +2,9 @@ package colstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"reflect"
 	"strings"
 	"testing"
@@ -145,6 +147,12 @@ func unsafeStringData(s string) uintptr {
 }
 
 func writeFile(t *testing.T, sites map[string][]VisitRow) []byte {
+	t.Helper()
+	return seedFile(t, sites)
+}
+
+// seedFile writes sites through Writer; it also seeds the fuzz targets.
+func seedFile(t testing.TB, sites map[string][]VisitRow) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -399,5 +407,84 @@ func TestSniff(t *testing.T) {
 	}
 	if Sniff(data[:4]) {
 		t.Error("Sniff accepted a too-short prefix")
+	}
+}
+
+// withFooter replaces data's footer index with one listing metas. The
+// index checksum is valid, so only the reader's range checks stand
+// between a crafted offset and the body slice.
+func withFooter(data []byte, metas []BlockMeta) []byte {
+	indexOff := binary.LittleEndian.Uint64(data[len(data)-8-len(tailMagic):])
+	var idx buf
+	idx.uvarint(SchemaVersion)
+	idx.uvarint(uint64(len(metas)))
+	for _, b := range metas {
+		idx.str(b.Site)
+		idx.uvarint(b.Offset)
+		idx.uvarint(b.Length)
+		idx.uvarint(uint64(b.Visits))
+		idx.uvarint(uint64(len(b.Pages)))
+		for _, p := range b.Pages {
+			idx.str(p)
+		}
+	}
+	out := buf{b: bytes.Clone(data[:indexOff])}
+	out.b = append(out.b, indexMagic...)
+	out.uvarint(uint64(len(idx.b)))
+	out.b = append(out.b, idx.b...)
+	out.b = binary32le(out.b, crc32.ChecksumIEEE(idx.b))
+	out.u64le(indexOff)
+	out.b = append(out.b, tailMagic...)
+	return out.b
+}
+
+// wrappedBlockFile is a one-site file whose footer places the block at
+// offset 100 with a length that wraps Offset+Length around to 50.
+func wrappedBlockFile(t testing.TB) []byte {
+	data := seedFile(t, map[string][]VisitRow{"a.org": siteRows("a.org", 0, 2, 2)})
+	return withFooter(data, []BlockMeta{{Site: "a.org", Offset: 100, Length: ^uint64(0) - 49, Visits: 4}})
+}
+
+// TestCraftedFooterRejected feeds OpenReader footers whose block ranges
+// wrap, start inside the header, or reach into the index. Each must fail
+// to open with an error instead of panicking in Block.
+func TestCraftedFooterRejected(t *testing.T) {
+	data := seedFile(t, map[string][]VisitRow{"a.org": siteRows("a.org", 0, 2, 2)})
+	r, err := OpenReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := r.Index().Blocks[0]
+	indexOff := binary.LittleEndian.Uint64(data[len(data)-8-len(tailMagic):])
+	cases := map[string][]byte{
+		"wrapping-length": wrappedBlockFile(t),
+		"inside-header":   withFooter(data, []BlockMeta{{Site: good.Site, Offset: 2, Length: good.Length}}),
+		"past-index":      withFooter(data, []BlockMeta{{Site: good.Site, Offset: good.Offset, Length: indexOff}}),
+		"at-index":        withFooter(data, []BlockMeta{{Site: good.Site, Offset: indexOff + 1, Length: 1}}),
+	}
+	for name, bad := range cases {
+		t.Run(name, func(t *testing.T) {
+			r, err := OpenReader(bytes.NewReader(bad), int64(len(bad)))
+			if err == nil {
+				_, err = r.Block(0)
+				t.Fatalf("OpenReader accepted the crafted footer (Block(0) error: %v)", err)
+			}
+			if !strings.Contains(err.Error(), "outside the body") {
+				t.Errorf("error %q does not name the block range", err)
+			}
+		})
+	}
+	// The untouched footer still opens, so the checks reject only bad ranges.
+	if _, err := OpenReader(bytes.NewReader(withFooter(data, []BlockMeta{good})), int64(len(data))); err != nil {
+		t.Fatalf("rewritten valid footer: %v", err)
+	}
+}
+
+// TestReadRecordAtInvertedBound covers the reader's own guard: a bound
+// that ends before it starts is an error, not a negative slice.
+func TestReadRecordAtInvertedBound(t *testing.T) {
+	data := seedFile(t, map[string][]VisitRow{"a.org": siteRows("a.org", 0, 1, 1)})
+	if _, err := readRecordAt(bytes.NewReader(data), 100, 50, blockMagic, "block"); err == nil {
+		t.Fatal("readRecordAt accepted an inverted bound")
 	}
 }

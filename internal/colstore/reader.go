@@ -196,6 +196,13 @@ func OpenReader(ra io.ReaderAt, size int64) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every block must lie between the header and the index; a range that
+	// wraps or reaches past either would send Block outside the body.
+	for _, b := range idx.Blocks {
+		if b.Offset < uint64(len(Magic)) || b.Offset > uint64(indexOff) || b.Length > uint64(indexOff)-b.Offset {
+			return nil, fmt.Errorf("colstore: block of site %q at [%d, +%d) lies outside the body [%d, %d)", b.Site, b.Offset, b.Length, len(Magic), indexOff)
+		}
+	}
 	return &Reader{ra: ra, idx: idx}, nil
 }
 
@@ -225,6 +232,9 @@ func (r *Reader) Block(i int) (*SiteBlock, error) {
 // readRecordAt reads and verifies one record starting at off, bounded by
 // limit (exclusive).
 func readRecordAt(ra io.ReaderAt, off, limit int64, wantMagic, what string) ([]byte, error) {
+	if off < 0 || limit < off {
+		return nil, fmt.Errorf("colstore: %s record bound [%d, %d) is inverted", what, off, limit)
+	}
 	// Magic + maximal varint length header.
 	hdr := make([]byte, len(wantMagic)+10)
 	if int64(len(hdr)) > limit-off {

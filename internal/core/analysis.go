@@ -72,10 +72,11 @@ func (a *Analysis) phaseTimer(name string) func() {
 	return a.metrics.Histogram("analysis." + name + "_ms").Time()
 }
 
-// Options configures New.
+// Options configures Analyze, New and NewFromPartials.
 type Options struct {
 	// Profiles fixes the tree ordering; defaults to the dataset's sorted
-	// profile names. The first profile whose name is "Sim1" is used as the
+	// profile names (a source that fills the dataset as it goes must set
+	// it). The first profile whose name is "Sim1" is used as the
 	// Table 6 reference regardless of order.
 	Profiles []string
 	// SiteRank supplies Tranco ranks for the bucket analysis.
@@ -111,7 +112,7 @@ type Options struct {
 	Metrics *metrics.Registry
 	// Context, if non-nil, cancels the per-page analysis between pages —
 	// the hook a job server needs to abort a long analysis mid-flight.
-	// New returns the context's error when it fires. A tracer carried by
+	// The analysis returns the context's error when it fires. A tracer carried by
 	// the context (trace.NewContext) is picked up when Tracer is nil.
 	Context context.Context
 	// Tracer, if non-nil, records analysis spans (analyze.vet,
@@ -122,45 +123,57 @@ type Options struct {
 	Tracer *trace.Tracer
 }
 
-// New builds the analysis: vetting, tree construction, cross-comparison.
-// filter may be nil (no tracking classification). The per-page work runs
-// on Options.Workers goroutines; because pages are analyzed independently
-// and merged in page-key order, the result is identical (byte for byte in
-// every export) regardless of worker count.
+// New builds the analysis of an in-memory dataset: vetting, tree
+// construction, cross-comparison. filter may be nil (no tracking
+// classification). It is Analyze over Sites(ds, opts).
 func New(ds *dataset.Dataset, filter *filterlist.List, opts Options) (*Analysis, error) {
-	profiles := opts.Profiles
-	if len(profiles) == 0 {
-		profiles = ds.Profiles()
-	}
-	s, err := newStream(ds, filter, opts, profiles)
-	if err != nil {
-		return nil, err
-	}
-	// ds.Pages() is sorted by (site, page URL); the pool writes each
-	// page's result into its matching slot, so the merge preserves that
-	// deterministic order.
-	pages := ds.Pages()
-	var sites [][]*dataset.PageVisits
-	for i := 0; i < len(pages); {
-		j := i + 1
-		for j < len(pages) && pages[j].Key.Site == pages[i].Key.Site {
-			j++
+	return Analyze(ds, Sites(ds, opts), filter, opts)
+}
+
+// Site is one site's share of the analysis input: its page groups sorted
+// by page URL, all of one site, and the site's key cache (nil: unkeyed
+// builds).
+type Site struct {
+	Pages []*dataset.PageVisits
+	Keys  *urlutil.KeyCache
+}
+
+// Source feeds an analysis its sites: it calls yield once per site, in
+// ascending site order, and stops at the first error yield returns and
+// returns it. Any error a source returns ends the analysis and comes back
+// from Analyze as is.
+type Source func(yield func(Site) error) error
+
+// Sites is the source of an in-memory dataset: ds's pages grouped by site
+// in page-key order. The sites' key caches are built up front on
+// opts.Workers goroutines from every URL string the analysis looks up in
+// their visits.
+func Sites(ds *dataset.Dataset, opts Options) Source {
+	return func(yield func(Site) error) error {
+		profiles := opts.Profiles
+		if len(profiles) == 0 {
+			profiles = ds.Profiles()
 		}
-		sites = append(sites, pages[i:j])
-		i = j
+		pages := ds.Pages()
+		var sites []Site
+		for i := 0; i < len(pages); {
+			j := i + 1
+			for j < len(pages) && pages[j].Key.Site == pages[i].Key.Site {
+				j++
+			}
+			sites = append(sites, Site{Pages: pages[i:j]})
+			i = j
+		}
+		parallelFor(contextOf(opts), resolveWorkers(opts.Workers), len(sites), func(i int) {
+			sites[i].Keys = siteKeyCache(sites[i].Pages, profiles)
+		})
+		for _, s := range sites {
+			if err := yield(s); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	caches := make([]*urlutil.KeyCache, len(sites))
-	parallelFor(s.ctx, s.a.workers, len(sites), func(i int) {
-		caches[i] = siteKeyCache(sites[i], profiles)
-	})
-	s.a.siteKeys = make(map[string]*urlutil.KeyCache, len(sites))
-	for i, group := range sites {
-		s.a.siteKeys[group[0].Key.Site] = caches[i]
-	}
-	if err := s.addBatch(pages); err != nil {
-		return nil, err
-	}
-	return s.Finish()
 }
 
 // siteKeyCache builds one site's key cache from every URL string the
@@ -188,37 +201,41 @@ func siteKeyCache(pages []*dataset.PageVisits, profiles []string) *urlutil.KeyCa
 	return urlutil.BuildKeyCache(raws)
 }
 
-// Stream builds an Analysis incrementally, one batch of page groups at a
-// time — the columnar-format path, where the facade decodes one site
-// block, hands its page groups (plus the block's pre-interned key cache)
-// to AddSite, and lets the decoder's transient memory be reclaimed
-// before the next block. Batches must arrive in ascending site order so
-// the accumulated pages match the page-key order the batch-free New
-// produces; the result is then byte-identical in every export.
-type Stream struct {
-	a        *Analysis
-	w        pageWorker
-	ctx      context.Context
-	opts     Options
-	lastSite string
-	seenSite bool
-	done     bool
+// pageQueuePerWorker sizes the page queue between a source and the pool:
+// while the pool works through that many queued pages per worker, the
+// source decodes its next site.
+const pageQueuePerWorker = 16
+
+// pageJob is one queued page: its group, its site's key cache and the
+// slot its result goes into.
+type pageJob struct {
+	pv   *dataset.PageVisits
+	keys *urlutil.KeyCache
+	out  *pageResult
 }
 
-// NewStream starts an incremental analysis over ds, which the caller
-// fills (dataset.Add) with the same visits whose page groups it feeds to
-// AddSite — the derived analyses (timing, static/dynamic, case studies)
-// read raw visits back from the dataset after the per-page pool runs.
-// Unlike New, the profile order cannot be inferred from a dataset that
-// does not exist yet, so Options.Profiles is required.
-func NewStream(ds *dataset.Dataset, filter *filterlist.List, opts Options) (*Stream, error) {
-	if len(opts.Profiles) == 0 {
-		return nil, fmt.Errorf("core: streaming analysis requires Options.Profiles (the dataset is not yet loaded to infer them)")
+// Analyze builds the analysis of the sites src yields: vetting, tree
+// construction and cross-comparison per page. ds must hold the visits of
+// those sites by the time Analyze returns — the derived analyses (timing,
+// static/dynamic, case studies) read raw visits back from it — so a
+// source decoding from disk adds each site's visits to ds as it yields
+// the site. filter may be nil (no tracking classification).
+//
+// One pool of Options.Workers goroutines lives across all sites and takes
+// pages from a bounded queue; src runs on the caller's goroutine, so it
+// prepares site i+1 while the pool works on site i. Each page's result
+// goes into a per-site slot, and the slots are merged in arrival order
+// once the pool drains. Sites must arrive in ascending order, which makes
+// that order the page-key order and the analysis byte-identical in every
+// export for any worker count and any source. A source error comes back
+// as is; a canceled Options.Context makes yield return the context's
+// error and the pool skip the pages still queued. Either way Analyze
+// returns no analysis, and no goroutine it started outlives it.
+func Analyze(ds *dataset.Dataset, src Source, filter *filterlist.List, opts Options) (*Analysis, error) {
+	profiles := opts.Profiles
+	if len(profiles) == 0 {
+		profiles = ds.Profiles()
 	}
-	return newStream(ds, filter, opts, opts.Profiles)
-}
-
-func newStream(ds *dataset.Dataset, filter *filterlist.List, opts Options, profiles []string) (*Stream, error) {
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("core: dataset has no profiles")
 	}
@@ -226,10 +243,96 @@ func newStream(ds *dataset.Dataset, filter *filterlist.List, opts Options, profi
 		ds:       ds,
 		filter:   filter,
 		profiles: profiles,
+		siteKeys: make(map[string]*urlutil.KeyCache),
 		siteRank: opts.SiteRank,
 		metrics:  opts.Metrics,
 		workers:  resolveWorkers(opts.Workers),
 	}
+	w := newPageWorker(filter, opts, profiles)
+	ctx := contextOf(opts)
+
+	queue := make(chan pageJob, a.workers*pageQueuePerWorker)
+	var wg sync.WaitGroup
+	for g := 0; g < a.workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range queue {
+				if ctx.Err() == nil {
+					*j.out = w.analyze(j.pv, j.keys)
+				}
+			}
+		}()
+	}
+	drain := sync.OnceFunc(func() {
+		close(queue)
+		wg.Wait()
+	})
+	defer drain()
+
+	var slots [][]pageResult
+	lastSite := ""
+	err := src(func(s Site) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if len(s.Pages) == 0 {
+			return nil
+		}
+		site := s.Pages[0].Key.Site
+		if len(slots) > 0 && site <= lastSite {
+			return fmt.Errorf("core: site %q arrived after %q; the analysis requires ascending site order", site, lastSite)
+		}
+		for _, pv := range s.Pages {
+			if pv.Key.Site != site {
+				return fmt.Errorf("core: page of site %q in the pages of %q", pv.Key.Site, site)
+			}
+		}
+		lastSite = site
+		a.siteKeys[site] = s.Keys
+		slot := make([]pageResult, len(s.Pages))
+		slots = append(slots, slot)
+		for i, pv := range s.Pages {
+			queue <- pageJob{pv: pv, keys: s.Keys, out: &slot[i]}
+		}
+		return nil
+	})
+	drain()
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("core: analysis canceled: %w", err)
+	}
+	// Merge in slot order (= page-key order) and aggregate the vetting
+	// tally; doing both after the pool drains keeps the result — counts
+	// included — independent of worker scheduling.
+	for _, slot := range slots {
+		for _, r := range slot {
+			a.vetting.count(r.excluded)
+			if r.pa != nil {
+				a.pages = append(a.pages, r.pa)
+			}
+		}
+	}
+	for reason, n := range map[string]int{
+		ExcludeMissing:  a.vetting.ExcludedMissing,
+		ExcludeFailed:   a.vetting.ExcludedFailed,
+		ExcludeDegraded: a.vetting.ExcludedDegraded,
+		ExcludeBuild:    a.vetting.ExcludedBuild,
+	} {
+		opts.Metrics.Counter("analysis.pages.excluded." + reason).Add(int64(n))
+	}
+	if len(a.pages) == 0 && !opts.AllowEmpty {
+		return nil, fmt.Errorf("core: no page was crawled cleanly by all %d profiles (%d excluded: %d missing, %d failed, %d degraded, %d build)",
+			len(a.profiles), a.vetting.Excluded(), a.vetting.ExcludedMissing,
+			a.vetting.ExcludedFailed, a.vetting.ExcludedDegraded, a.vetting.ExcludedBuild)
+	}
+	return a, nil
+}
+
+// newPageWorker resolves the per-page inputs Options configures.
+func newPageWorker(filter *filterlist.List, opts Options, profiles []string) *pageWorker {
 	builder := opts.TreeBuilder
 	if builder == nil {
 		builder = &tree.Builder{}
@@ -243,79 +346,27 @@ func newStream(ds *dataset.Dataset, filter *filterlist.List, opts Options, profi
 	if tracer == nil {
 		tracer = trace.TracerFrom(opts.Context)
 	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
+	return &pageWorker{
+		profiles:      profiles,
+		builder:       builder,
+		minSuccess:    minSuccess,
+		allowDegraded: opts.AllowDegraded,
+		tracer:        tracer,
+		pagesSeen:     opts.Metrics.Counter("analysis.pages"),
+		pagesOK:       opts.Metrics.Counter("analysis.pages.vetted"),
+		trees:         opts.Metrics.Counter("analysis.trees"),
+		treesFail:     opts.Metrics.Counter("analysis.trees.failed"),
+		pageMS:        opts.Metrics.Histogram("analysis.page_ms"),
 	}
-	return &Stream{
-		a: a,
-		w: pageWorker{
-			profiles:      profiles,
-			builder:       builder,
-			minSuccess:    minSuccess,
-			allowDegraded: opts.AllowDegraded,
-			tracer:        tracer,
-			pagesSeen:     opts.Metrics.Counter("analysis.pages"),
-			pagesOK:       opts.Metrics.Counter("analysis.pages.vetted"),
-			trees:         opts.Metrics.Counter("analysis.trees"),
-			treesFail:     opts.Metrics.Counter("analysis.trees.failed"),
-			pageMS:        opts.Metrics.Histogram("analysis.page_ms"),
-		},
-		ctx:  ctx,
-		opts: opts,
-	}, nil
 }
 
-// AddSite analyzes one site's page groups. pages must be sorted by page
-// URL (dataset block order) and sites must arrive in ascending order —
-// together these make the accumulated page order equal to the global
-// page-key order. keys, when non-nil, is the site's pre-interned
-// normalization cache (SiteBlock.KeyCache), which routes tree building
-// through the int32-id fast path.
-func (s *Stream) AddSite(site string, pages []*dataset.PageVisits, keys *urlutil.KeyCache) error {
-	if s.done {
-		return fmt.Errorf("core: AddSite after Finish")
+// contextOf returns Options.Context, or the background context when it
+// is nil.
+func contextOf(opts Options) context.Context {
+	if opts.Context == nil {
+		return context.Background()
 	}
-	if s.seenSite && site <= s.lastSite {
-		return fmt.Errorf("core: site %q arrived after %q; streaming analysis requires ascending site order", site, s.lastSite)
-	}
-	s.lastSite, s.seenSite = site, true
-	for _, pv := range pages {
-		if pv.Key.Site != site {
-			return fmt.Errorf("core: page of site %q in batch for %q", pv.Key.Site, site)
-		}
-	}
-	if s.a.siteKeys == nil {
-		s.a.siteKeys = make(map[string]*urlutil.KeyCache)
-	}
-	s.a.siteKeys[site] = keys
-	return s.addBatch(pages)
-}
-
-// addBatch fans one batch of page groups over the worker pool and merges
-// the results in slot order. Per-page work carries no cross-page state
-// (the trace cost model runs on a per-page cursor; the decision tables
-// hold pure functions of their keys), so splitting the page list into
-// batches cannot change any output. Pages read their site's key cache
-// from siteKeys (nil: unkeyed builds).
-func (s *Stream) addBatch(pages []*dataset.PageVisits) error {
-	results := make([]pageResult, len(pages))
-	parallelFor(s.ctx, s.a.workers, len(pages), func(i int) {
-		results[i] = s.w.analyze(pages[i], s.a.siteKeys[pages[i].Key.Site])
-	})
-	if err := s.ctx.Err(); err != nil {
-		return fmt.Errorf("core: analysis canceled: %w", err)
-	}
-	// Merge in slot order (= page-key order) and aggregate the vetting
-	// tally; doing both after the pool drains keeps the result — counts
-	// included — independent of worker scheduling.
-	for _, r := range results {
-		s.a.vetting.count(r.excluded)
-		if r.pa != nil {
-			s.a.pages = append(s.a.pages, r.pa)
-		}
-	}
-	return nil
+	return opts.Context
 }
 
 // resolveWorkers maps Options.Workers to a pool width: 0 or negative
@@ -358,29 +409,6 @@ func parallelFor(ctx context.Context, workers, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// Finish seals the stream and returns the analysis.
-func (s *Stream) Finish() (*Analysis, error) {
-	if s.done {
-		return nil, fmt.Errorf("core: Finish called twice")
-	}
-	s.done = true
-	a, opts := s.a, s.opts
-	for reason, n := range map[string]int{
-		ExcludeMissing:  a.vetting.ExcludedMissing,
-		ExcludeFailed:   a.vetting.ExcludedFailed,
-		ExcludeDegraded: a.vetting.ExcludedDegraded,
-		ExcludeBuild:    a.vetting.ExcludedBuild,
-	} {
-		opts.Metrics.Counter("analysis.pages.excluded." + reason).Add(int64(n))
-	}
-	if len(a.pages) == 0 && !opts.AllowEmpty {
-		return nil, fmt.Errorf("core: no page was crawled cleanly by all %d profiles (%d excluded: %d missing, %d failed, %d degraded, %d build)",
-			len(a.profiles), a.vetting.Excluded(), a.vetting.ExcludedMissing,
-			a.vetting.ExcludedFailed, a.vetting.ExcludedDegraded, a.vetting.ExcludedBuild)
-	}
-	return a, nil
 }
 
 // pageWorker carries the read-only inputs and metric instruments of the

@@ -11,7 +11,6 @@ package core
 // CSV byte-identical to a single-process run over the whole dataset.
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 
@@ -114,13 +113,16 @@ func DecodePartial(b []byte) (*Partial, error) {
 }
 
 // NewFromPartials assembles a full Analysis from one partial per shard.
-// ds must be the union dataset (the coordinator rebuilds it from the
-// partials' visits or loads it independently); filter and opts play the
-// same roles as in New. The page lists arrive sorted per shard and the
-// plan makes them disjoint, so a k-way merge by (site, page URL) restores
-// exactly the order New produces; each page's trees are rebuilt from
-// their wire records and re-compared in parallel. The result is
-// indistinguishable from New over the union dataset.
+// ds is the union dataset; nil rebuilds it from the partials' visits in
+// shard order (exports that depend on visit grouping read the
+// page-key-sorted view, so that order is invisible to every artifact).
+// filter and opts play the same roles as in New. The page lists arrive
+// sorted per shard and the plan makes them disjoint, so a k-way merge by
+// (site, page URL) restores exactly the order New produces; each page's
+// trees are rebuilt from their wire records and re-compared in parallel.
+// The result is indistinguishable from New over the union dataset. A
+// canceled Options.Context stops the rebuild and returns the context's
+// error.
 func NewFromPartials(ds *dataset.Dataset, filter *filterlist.List, opts Options, plan ShardPlan, parts []*Partial) (*Analysis, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -161,6 +163,14 @@ func NewFromPartials(ds *dataset.Dataset, filter *filterlist.List, opts Options,
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("core: partials carry no profiles")
 	}
+	if ds == nil {
+		ds = dataset.New()
+		for _, p := range byShard {
+			for _, v := range p.Visits {
+				ds.Add(v)
+			}
+		}
+	}
 
 	a := &Analysis{
 		ds:       ds,
@@ -188,9 +198,10 @@ func NewFromPartials(ds *dataset.Dataset, filter *filterlist.List, opts Options,
 
 	// Rebuild trees and recompute comparisons in parallel; slot-indexed
 	// results keep the merged page-key order regardless of scheduling.
+	ctx := contextOf(opts)
 	results := make([]*PageAnalysis, len(merged))
 	errs := make([]error, len(merged))
-	parallelFor(context.Background(), a.workers, len(merged), func(i int) {
+	parallelFor(ctx, a.workers, len(merged), func(i int) {
 		pp := merged[i]
 		pa := &PageAnalysis{Key: pp.Key, Trees: make([]*tree.Tree, 0, len(pp.Trees))}
 		for _, tr := range pp.Trees {
@@ -204,6 +215,9 @@ func NewFromPartials(ds *dataset.Dataset, filter *filterlist.List, opts Options,
 		pa.Cmp = treediff.Compare(pa.Trees)
 		results[i] = pa
 	})
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("core: merge canceled: %w", err)
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -66,14 +66,6 @@ func ReadCol(r io.Reader) (*Dataset, error) {
 	return d, nil
 }
 
-// ScanColSites streams a columnar dataset site by site without holding
-// more than one site's visits in memory at once: fn receives each site's
-// visits in sequence order. The streaming analysis path uses this to
-// bound transient decode memory by the largest site block.
-func ScanColSites(r io.Reader, fn func(sb *colstore.SiteBlock) error) (*colstore.Index, error) {
-	return colstore.Scan(r, fn)
-}
-
 // DetectFormat sniffs the first bytes of r and reports which dataset
 // format it holds, returning a reader that still yields the full stream
 // (the sniffed prefix is not consumed). Empty input reports JSONL — an
@@ -108,8 +100,8 @@ func ReadAuto(r io.Reader) (*Dataset, error) {
 }
 
 // OpenCol opens a columnar dataset for random access through its footer
-// index — the shard-worker path, which decodes only the blocks whose
-// page lists intersect the shard's assignment.
+// index — the analysis path, which decodes blocks in footer order and,
+// for a shard, only the blocks whose page lists meet its slice.
 func OpenCol(ra io.ReaderAt, size int64) (*colstore.Reader, error) {
 	return colstore.OpenReader(ra, size)
 }

@@ -84,7 +84,7 @@ func get(t *testing.T, url string) (int, []byte) {
 
 // TestSubmitPollFetchArtifacts is the happy path: submit → poll → fetch
 // every artifact, and cross-check the service's result.json against the
-// batch pipeline (cmd/analyze's LoadAndAnalyze) fed with the service's
+// batch pipeline (cmd/analyze's LoadAndAnalyzeContext) fed with the service's
 // own dataset download — the two paths must agree byte for byte.
 func TestSubmitPollFetchArtifacts(t *testing.T) {
 	s := New(Config{Workers: 2})
@@ -128,7 +128,7 @@ func TestSubmitPollFetchArtifacts(t *testing.T) {
 
 	// Batch-path cross-check: analyzing the downloaded dataset with the
 	// same flags must reproduce the served result.json exactly.
-	res, err := webmeasure.LoadAndAnalyze(bytes.NewReader(jsonl), webmeasure.Config{
+	res, err := webmeasure.LoadAndAnalyzeContext(context.Background(), bytes.NewReader(jsonl), webmeasure.Config{
 		Seed: spec.Seed, Sites: spec.Sites, PagesPerSite: spec.PagesPerSite,
 	})
 	if err != nil {
@@ -365,9 +365,9 @@ func TestSubmitValidation(t *testing.T) {
 	defer ts.Close()
 
 	for name, body := range map[string]string{
-		"unknown field":   `{"sitez": 5}`,
-		"over max sites":  `{"sites": 999}`,
-		"over max pages":  `{"pages_per_site": 50}`,
+		"unknown field":         `{"sitez": 5}`,
+		"over max sites":        `{"sites": 999}`,
+		"over max pages":        `{"pages_per_site": 50}`,
 		"unknown profile":       `{"profiles": ["NoSuchBrowser"]}`,
 		"unknown fault profile": `{"fault_profile": "chaos"}`,
 		"negative epoch":        `{"epoch": -1}`,

@@ -16,10 +16,11 @@
 package webmeasure
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 
 	"webmeasure/internal/browser"
@@ -30,11 +31,11 @@ import (
 	"webmeasure/internal/drift"
 	"webmeasure/internal/faults"
 	"webmeasure/internal/filterlist"
+	"webmeasure/internal/measurement"
 	"webmeasure/internal/metrics"
 	"webmeasure/internal/report"
 	"webmeasure/internal/trace"
 	"webmeasure/internal/tranco"
-	"webmeasure/internal/urlutil"
 	"webmeasure/internal/webgen"
 )
 
@@ -95,10 +96,11 @@ type Config struct {
 	SiteWorkers int
 	// Shards splits the experiment's page-key space into this many slices
 	// for distributed shard-and-merge analysis (0 or 1 = the whole
-	// experiment in one process). With Shards > 1 the run covers only the
-	// slice ShardIndex selects; one Partial per shard is then assembled
-	// with AssembleFromPartials into results byte-identical to the
-	// single-process run.
+	// experiment in one process). With Shards > 1 a Run or CrawlStream
+	// covers only the slice ShardIndex selects; one Partial per shard is
+	// then assembled with AssembleFromPartials into results byte-identical
+	// to the single-process run. LoadAndAnalyzeContext runs every slice and
+	// the merge itself.
 	Shards int
 	// ShardIndex selects this run's slice (0-based, < Shards) when Shards
 	// is set.
@@ -169,10 +171,18 @@ type Results struct {
 	model      *core.Export
 }
 
-// experimentFrame regenerates the deterministic scaffolding every entry
-// point shares: the universe, the rank-bucket boundaries, and the sampled
-// site list. cfg must already carry defaults.
-func experimentFrame(cfg Config) (*webgen.Universe, []tranco.Entry, []int) {
+// frame is the deterministic scaffolding every entry point regenerates
+// from the config: the universe, the sampled site list, and the
+// rank-bucket boundaries.
+type frame struct {
+	u          *webgen.Universe
+	sample     []tranco.Entry
+	boundaries []int
+}
+
+// experimentFrame regenerates cfg's frame. cfg must already carry
+// defaults.
+func experimentFrame(cfg Config) frame {
 	u := webgen.New(webgenConfig(cfg))
 	list := tranco.Generate(cfg.TrancoSize, cfg.Seed)
 	boundaries := tranco.ScaledBoundaries(cfg.TrancoSize)
@@ -180,8 +190,7 @@ func experimentFrame(cfg Config) (*webgen.Universe, []tranco.Entry, []int) {
 	if perBucket < 1 {
 		perBucket = 1
 	}
-	sample := list.Sample(boundaries, perBucket, cfg.Seed)
-	return u, sample, boundaries
+	return frame{u: u, sample: list.Sample(boundaries, perBucket, cfg.Seed), boundaries: boundaries}
 }
 
 // validateShard checks the Shards/ShardIndex pair.
@@ -203,8 +212,8 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 	if err := cfg.validateShard(); err != nil {
 		return nil, err
 	}
-	u, sample, boundaries := experimentFrame(cfg)
-	ccfg, err := cfg.crawlerConfig(u, sample)
+	fr := experimentFrame(cfg)
+	ccfg, err := cfg.crawlerConfig(fr)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +221,7 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 	if err != nil {
 		return nil, fmt.Errorf("webmeasure: crawl: %w", err)
 	}
-	res, err := AnalyzeContext(ctx, ds, u, sample, boundaries, cfg)
+	res, err := analyze(ctx, cfg, fr, ds, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +232,7 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 // crawlerConfig resolves the crawl inputs Run and CrawlStream share —
 // resume dataset, profile selection, fault profile, shard page filter —
 // into the crawler's configuration.
-func (c Config) crawlerConfig(u *webgen.Universe, sample []tranco.Entry) (crawler.Config, error) {
+func (c Config) crawlerConfig(fr frame) (crawler.Config, error) {
 	var resume *dataset.Dataset
 	if c.ResumeJSONL != nil {
 		var err error
@@ -250,8 +259,8 @@ func (c Config) crawlerConfig(u *webgen.Universe, sample []tranco.Entry) (crawle
 		pageFilter = c.shardPlan().Keep(c.ShardIndex)
 	}
 	return crawler.Config{
-		Universe:    u,
-		Sites:       sample,
+		Universe:    fr.u,
+		Sites:       fr.sample,
 		MaxPages:    c.PagesPerSite,
 		Instances:   c.Instances,
 		Profiles:    profs,
@@ -276,14 +285,13 @@ func (c Config) crawlerConfig(u *webgen.Universe, sample []tranco.Entry) (crawle
 // Run's dataset would hold (a dataset.SiteWriter therefore produces the
 // same bytes WriteDataset/WriteDatasetCol would); Close stays with the
 // caller. Analysis runs separately — feed the written file to
-// LoadAndAnalyze.
+// LoadAndAnalyzeContext.
 func CrawlStream(ctx context.Context, cfg Config, sink crawler.SiteSink) (crawler.Stats, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validateShard(); err != nil {
 		return crawler.Stats{}, err
 	}
-	u, sample, _ := experimentFrame(cfg)
-	ccfg, err := cfg.crawlerConfig(u, sample)
+	ccfg, err := cfg.crawlerConfig(experimentFrame(cfg))
 	if err != nil {
 		return crawler.Stats{}, err
 	}
@@ -296,70 +304,61 @@ func CrawlStream(ctx context.Context, cfg Config, sink crawler.SiteSink) (crawle
 	return stats, nil
 }
 
-// Analyze runs the analysis over an existing dataset (e.g. one loaded with
-// LoadDataset). sample and boundaries supply the rank information for the
-// popularity analysis and may be nil.
-func Analyze(ds *dataset.Dataset, u *webgen.Universe, sample []tranco.Entry, boundaries []int, cfg Config) (*Results, error) {
-	return AnalyzeContext(context.Background(), ds, u, sample, boundaries, cfg)
-}
-
 // analysisEnv derives the analysis inputs every entry point shares from
-// the regenerated universe: the filter list, the site→rank map, and the
-// ordered profile names.
-func analysisEnv(u *webgen.Universe, sample []tranco.Entry, cfg Config) (*filterlist.List, map[string]int, []string, error) {
-	filter, skipped := filterlist.Parse(u.FilterListText())
+// the config and its frame: the generated filter list, and the core
+// options with the site→rank map and the ordered profile names.
+func analysisEnv(ctx context.Context, cfg Config, fr frame) (*filterlist.List, core.Options, error) {
+	filter, skipped := filterlist.Parse(fr.u.FilterListText())
 	if skipped != 0 {
-		return nil, nil, nil, fmt.Errorf("webmeasure: generated filter list has %d bad rules", skipped)
+		return nil, core.Options{}, fmt.Errorf("webmeasure: generated filter list has %d bad rules", skipped)
 	}
-	ranks := make(map[string]int, len(sample))
-	for _, e := range sample {
+	ranks := make(map[string]int, len(fr.sample))
+	for _, e := range fr.sample {
 		ranks[e.Site] = e.Rank
 	}
 	profs, err := selectProfiles(cfg.Profiles)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, core.Options{}, err
 	}
 	names := make([]string, len(profs))
 	for i, p := range profs {
 		names[i] = p.Name
 	}
-	return filter, ranks, names, nil
-}
-
-// analysisOptions assembles the core options shared by the batch and
-// streaming analysis paths.
-func analysisOptions(ctx context.Context, names []string, ranks map[string]int, cfg Config) core.Options {
-	return core.Options{
+	return filter, core.Options{
 		Profiles: names,
 		SiteRank: ranks,
 		Workers:  cfg.Workers,
 		Metrics:  cfg.Metrics,
 		Context:  ctx,
 		Tracer:   cfg.Tracer,
-		// One shard's slice can legitimately vet down to nothing; the
-		// coordinator judges emptiness after merging all shards.
-		AllowEmpty: cfg.Shards > 1,
-	}
+	}, nil
 }
 
-// AnalyzeContext is Analyze with cancellation: the context aborts the
-// per-page analysis pool between pages (a canceled job server request
-// stops burning CPU mid-analysis).
-func AnalyzeContext(ctx context.Context, ds *dataset.Dataset, u *webgen.Universe, sample []tranco.Entry, boundaries []int, cfg Config) (*Results, error) {
-	filter, ranks, names, err := analysisEnv(u, sample, cfg)
+// analyze is the one analysis path: it runs the sites src yields through
+// core.Analyze into Results over ds, which src fills as it goes. A nil src
+// analyzes the pages ds already holds (core.Sites). The context cancels
+// the per-page pool between pages.
+func analyze(ctx context.Context, cfg Config, fr frame, ds *dataset.Dataset, src core.Source) (*Results, error) {
+	filter, opts, err := analysisEnv(ctx, cfg, fr)
 	if err != nil {
 		return nil, err
 	}
-	analysis, err := core.New(ds, filter, analysisOptions(ctx, names, ranks, cfg))
+	// One shard's slice can legitimately vet down to nothing; the
+	// coordinator judges emptiness after merging all shards.
+	opts.AllowEmpty = cfg.Shards > 1
+	if src == nil {
+		src = core.Sites(ds, opts)
+	}
+	analysis, err := core.Analyze(ds, src, filter, opts)
 	if err != nil {
 		return nil, fmt.Errorf("webmeasure: analyze: %w", err)
 	}
 	return &Results{
 		cfg:        cfg,
-		universe:   u,
+		universe:   fr.u,
 		dataset:    ds,
 		analysis:   analysis,
-		boundaries: boundaries,
+		boundaries: fr.boundaries,
 	}, nil
 }
 
@@ -554,194 +553,133 @@ func (r *Results) RankBoundaries() []int { return r.boundaries }
 // loaded rather than crawled).
 func (r *Results) CrawlStats() crawler.Stats { return r.stats }
 
-// LoadAndAnalyze reads a dataset written by WriteDataset or
+// LoadAndAnalyzeContext reads a dataset written by WriteDataset or
 // WriteDatasetCol — the format is auto-detected from the magic bytes —
 // and analyzes it. cfg must carry the same Seed/Sites/TrancoSize/
 // PagesPerSite the crawl used, so the universe (and with it the filter
-// list and rank sample) can be regenerated deterministically.
-func LoadAndAnalyze(datasetIn io.Reader, cfg Config) (*Results, error) {
-	return LoadAndAnalyzeContext(context.Background(), datasetIn, cfg)
-}
-
-// LoadAndAnalyzeContext is LoadAndAnalyze with cancellation (see
-// AnalyzeContext). A columnar dataset is analyzed site by site as it
-// decodes: each block's page groups enter the worker pool while only
-// that block occupies transient decode memory, and the retained visits
-// share the block's interned strings. A seekable columnar input (an
-// *os.File) is read through its footer index, whose blocks are listed in
-// ascending site order regardless of the order the crawl streamed them,
-// so block decode memory stays bounded even for files written in
-// crawl order by CrawlStream.
+// list and rank sample) can be regenerated deterministically. The context
+// cancels the analysis between pages.
+//
+// A columnar dataset is read through its footer index, whose blocks are
+// listed in ascending site order whatever order the crawl streamed them
+// in: each block is decoded, and its key cache built, while the pool
+// analyzes the pages of the blocks before it, and the retained visits
+// share the block's interned strings. A seekable input (an *os.File) is
+// read in place; a non-seekable columnar stream is read into memory
+// first.
+//
+// With Config.Shards > 1 the dataset goes through the distributed
+// shard-and-merge pipeline inside one process: each slice of the
+// page-key space is analyzed on its own (a columnar shard decodes only
+// the blocks whose footer page lists meet its slice), every Partial
+// round-trips through its wire encoding, and the merged Results are
+// byte-identical in every export to the unsharded analysis.
 func LoadAndAnalyzeContext(ctx context.Context, datasetIn io.Reader, cfg Config) (*Results, error) {
 	cfg = cfg.withDefaults()
-	if ra, size, ok := readerAtSize(datasetIn); ok {
+	in, err := openDataset(datasetIn)
+	if err != nil {
+		return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
+	}
+	fr := experimentFrame(cfg)
+	if cfg.Shards <= 1 {
+		ds, src := in.source(nil)
+		return analyze(ctx, cfg, fr, ds, src)
+	}
+	plan := cfg.shardPlan()
+	parts := make([]*core.Partial, cfg.Shards)
+	for i := range parts {
+		shardCfg := cfg
+		shardCfg.ShardIndex = i
+		ds, src := in.source(plan.Keep(i))
+		res, err := analyze(ctx, shardCfg, fr, ds, src)
+		if err != nil {
+			return nil, fmt.Errorf("webmeasure: shard %d/%d: %w", i, cfg.Shards, err)
+		}
+		part, err := res.Partial()
+		if err != nil {
+			return nil, err
+		}
+		// Round-trip through the wire form so the in-process path exercises
+		// exactly what a remote worker ships.
+		wire, err := part.Encode()
+		if err != nil {
+			return nil, err
+		}
+		if parts[i], err = core.DecodePartial(wire); err != nil {
+			return nil, err
+		}
+	}
+	return assemble(ctx, cfg, fr, parts)
+}
+
+// input is an opened dataset: a columnar file behind its footer reader,
+// or a JSONL dataset held in memory.
+type input struct {
+	col *colstore.Reader
+	ds  *dataset.Dataset
+}
+
+// openDataset opens r once in whichever format it holds.
+func openDataset(r io.Reader) (input, error) {
+	if ra, size, ok := readerAtSize(r); ok {
 		head := make([]byte, len(colstore.Magic))
 		if n, _ := ra.ReadAt(head, 0); colstore.Sniff(head[:n]) {
-			return loadAndAnalyzeColIndexed(ctx, ra, size, cfg)
+			colr, err := dataset.OpenCol(ra, size)
+			return input{col: colr}, err
 		}
 	}
-	format, rd, err := dataset.DetectFormat(datasetIn)
+	format, rd, err := dataset.DetectFormat(r)
 	if err != nil {
-		return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
+		return input{}, err
 	}
 	if format == dataset.FormatCol {
-		return loadAndAnalyzeCol(ctx, rd, cfg)
+		raw, err := io.ReadAll(rd)
+		if err != nil {
+			return input{}, err
+		}
+		colr, err := dataset.OpenCol(bytes.NewReader(raw), int64(len(raw)))
+		return input{col: colr}, err
 	}
 	ds, err := dataset.ReadJSONL(rd)
-	if err != nil {
-		return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
-	}
-	u, sample, boundaries := experimentFrame(cfg)
-	return AnalyzeContext(ctx, ds, u, sample, boundaries, cfg)
+	return input{ds: ds}, err
 }
 
-// colStream is the scaffolding the two columnar load paths share: the
-// regenerated experiment frame plus an open streaming analysis.
-type colStream struct {
-	u          *webgen.Universe
-	boundaries []int
-	ds         *dataset.Dataset
-	stream     *core.Stream
-	cfg        Config
-}
-
-func newColStream(ctx context.Context, cfg Config) (*colStream, error) {
-	u, sample, boundaries := experimentFrame(cfg)
-	filter, ranks, names, err := analysisEnv(u, sample, cfg)
-	if err != nil {
-		return nil, err
+// source returns the dataset that holds the input's pages keep accepts
+// (nil keeps every page) and the source that feeds them to the analysis:
+// nil for an in-memory dataset, which analyze reads through core.Sites.
+// A columnar source decodes the blocks in footer order, skipping blocks
+// whose page lists miss keep, and adds each kept visit to the dataset as
+// it yields its site.
+func (in input) source(keep func(site, pageURL string) bool) (*dataset.Dataset, core.Source) {
+	if in.col == nil {
+		if keep == nil {
+			return in.ds, nil
+		}
+		return in.ds.FilterPages(func(k dataset.PageKey) bool { return keep(k.Site, k.PageURL) }), nil
 	}
 	ds := dataset.New()
-	stream, err := core.NewStream(ds, filter, analysisOptions(ctx, names, ranks, cfg))
-	if err != nil {
-		return nil, fmt.Errorf("webmeasure: analyze: %w", err)
-	}
-	return &colStream{u: u, boundaries: boundaries, ds: ds, stream: stream, cfg: cfg}, nil
-}
-
-// addBlock feeds one decoded site block and its key cache to the
-// analysis. Blocks must arrive in ascending site order.
-func (cs *colStream) addBlock(sb *colstore.SiteBlock, keys *urlutil.KeyCache) error {
-	for _, v := range sb.Visits {
-		cs.ds.Add(v)
-	}
-	return cs.stream.AddSite(sb.Site, dataset.GroupVisits(sb.Visits), keys)
-}
-
-func (cs *colStream) finish() (*Results, error) {
-	analysis, err := cs.stream.Finish()
-	if err != nil {
-		return nil, fmt.Errorf("webmeasure: analyze: %w", err)
-	}
-	return &Results{
-		cfg:        cs.cfg,
-		universe:   cs.u,
-		dataset:    cs.ds,
-		analysis:   analysis,
-		boundaries: cs.boundaries,
-	}, nil
-}
-
-// loadAndAnalyzeColIndexed streams a random-access columnar dataset
-// through the incremental analysis in footer-index order: one goroutine
-// decodes each site block and builds its key cache while the pages of
-// the block before it run on the worker pool. The decoded visits are
-// retained — the derived analyses read raw requests back after the page
-// pool — but they alias each block's string table, and no JSONL-sized
-// row buffers ever exist. The footer lists blocks in ascending site
-// order whatever order the body holds, so this path accepts crawl-order
-// files at the same bounded decode memory as site-sorted ones.
-func loadAndAnalyzeColIndexed(ctx context.Context, ra io.ReaderAt, size int64, cfg Config) (*Results, error) {
-	colr, err := dataset.OpenCol(ra, size)
-	if err != nil {
-		return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
-	}
-	cs, err := newColStream(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	blocks, stop := prefetchBlocks(colr)
-	defer stop()
-	for db := range blocks {
-		if db.err != nil {
-			return nil, fmt.Errorf("webmeasure: load dataset: %w", db.err)
-		}
-		if err := cs.addBlock(db.sb, db.keys); err != nil {
-			return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
-		}
-	}
-	return cs.finish()
-}
-
-// decodedBlock is one prefetched site block with its key cache, or the
-// error that ended decoding.
-type decodedBlock struct {
-	sb   *colstore.SiteBlock
-	keys *urlutil.KeyCache
-	err  error
-}
-
-// prefetchBlocks decodes colr's blocks in footer order on one goroutine,
-// building each block's key cache there too. The channel is unbuffered,
-// so while the caller analyzes block i at most block i+1 is decoded and
-// waiting: decode memory stays two blocks, not the file. A decode error
-// is the last value sent. stop ends the producer early and returns once
-// it has exited; the caller must call it on every path, and a canceled
-// analysis does so by returning.
-func prefetchBlocks(colr *colstore.Reader) (blocks <-chan decodedBlock, stop func()) {
-	out := make(chan decodedBlock)
-	done := make(chan struct{})
-	go func() {
-		defer close(out)
-		for bi := range colr.Index().Blocks {
-			db := decodedBlock{}
-			db.sb, db.err = colr.Block(bi)
-			if db.err == nil {
-				db.keys = db.sb.KeyCache()
+	return ds, func(yield func(core.Site) error) error {
+		for bi, meta := range in.col.Index().Blocks {
+			if keep != nil && !slices.ContainsFunc(meta.Pages, func(p string) bool { return keep(meta.Site, p) }) {
+				continue
 			}
-			select {
-			case out <- db:
-			case <-done:
-				return
+			sb, err := in.col.Block(bi)
+			if err != nil {
+				return fmt.Errorf("load dataset: %w", err)
 			}
-			if db.err != nil {
-				return
+			visits := sb.Visits
+			if keep != nil {
+				visits = slices.DeleteFunc(slices.Clone(visits), func(v *measurement.Visit) bool { return !keep(v.Site, v.PageURL) })
+			}
+			for _, v := range visits {
+				ds.Add(v)
+			}
+			if err := yield(core.Site{Pages: dataset.GroupVisits(visits), Keys: sb.KeyCache()}); err != nil {
+				return err
 			}
 		}
-	}()
-	return out, func() {
-		close(done)
-		for range out {
-		}
-	}
-}
-
-// loadAndAnalyzeCol handles a non-seekable columnar stream. The body's
-// block order is not guaranteed (CrawlStream writes blocks in crawl
-// order) and the footer cannot be consulted first, so the blocks are
-// buffered, sorted by site, and then fed to the streaming analysis —
-// correct for any order, at the cost of holding every decoded block at
-// once. Seekable inputs take loadAndAnalyzeColIndexed instead, which
-// keeps decode memory bounded.
-func loadAndAnalyzeCol(ctx context.Context, r io.Reader, cfg Config) (*Results, error) {
-	cs, err := newColStream(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	var blocks []*colstore.SiteBlock
-	if _, err := dataset.ScanColSites(r, func(sb *colstore.SiteBlock) error {
-		blocks = append(blocks, sb)
 		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].Site < blocks[j].Site })
-	for _, sb := range blocks {
-		if err := cs.addBlock(sb, sb.KeyCache()); err != nil {
-			return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
-		}
-	}
-	return cs.finish()
 }
 
 // Partial exports this run's analysis as one shard's contribution to a
@@ -767,173 +705,27 @@ func AssembleFromPartials(ctx context.Context, cfg Config, parts []*core.Partial
 	if cfg.Shards <= 1 {
 		return nil, fmt.Errorf("webmeasure: AssembleFromPartials requires Shards > 1")
 	}
-	u, sample, boundaries := experimentFrame(cfg)
-	filter, skipped := filterlist.Parse(u.FilterListText())
-	if skipped != 0 {
-		return nil, fmt.Errorf("webmeasure: generated filter list has %d bad rules", skipped)
-	}
-	ranks := make(map[string]int, len(sample))
-	for _, e := range sample {
-		ranks[e.Site] = e.Rank
-	}
-	profs, err := selectProfiles(cfg.Profiles)
+	return assemble(ctx, cfg, experimentFrame(cfg), parts)
+}
+
+// assemble is AssembleFromPartials over an already generated frame. The
+// context cancels the merge's tree rebuild.
+func assemble(ctx context.Context, cfg Config, fr frame, parts []*core.Partial) (*Results, error) {
+	filter, opts, err := analysisEnv(ctx, cfg, fr)
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(profs))
-	for i, p := range profs {
-		names[i] = p.Name
-	}
-	// The union dataset: every shard's visits, in shard order. Exports
-	// that depend on visit *grouping* use the page-key-sorted view, so
-	// the concatenation order is invisible to every artifact.
-	byShard := make([]*core.Partial, cfg.Shards)
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		if p.Shard >= 0 && p.Shard < cfg.Shards && byShard[p.Shard] == nil {
-			byShard[p.Shard] = p
-		}
-	}
-	ds := dataset.New()
-	for _, p := range byShard {
-		if p == nil {
-			continue
-		}
-		for _, v := range p.Visits {
-			ds.Add(v)
-		}
-	}
-	analysis, err := core.NewFromPartials(ds, filter, core.Options{
-		Profiles: names,
-		SiteRank: ranks,
-		Workers:  cfg.Workers,
-		Metrics:  cfg.Metrics,
-	}, cfg.shardPlan(), parts)
+	analysis, err := core.NewFromPartials(nil, filter, opts, cfg.shardPlan(), parts)
 	if err != nil {
 		return nil, fmt.Errorf("webmeasure: assemble: %w", err)
 	}
 	return &Results{
 		cfg:        cfg,
-		universe:   u,
-		dataset:    ds,
+		universe:   fr.u,
+		dataset:    analysis.Dataset(),
 		analysis:   analysis,
-		boundaries: boundaries,
+		boundaries: fr.boundaries,
 	}, nil
-}
-
-// LoadAndAnalyzeSharded is LoadAndAnalyzeShardedContext with a background
-// context.
-func LoadAndAnalyzeSharded(datasetIn io.Reader, cfg Config) (*Results, error) {
-	return LoadAndAnalyzeShardedContext(context.Background(), datasetIn, cfg)
-}
-
-// LoadAndAnalyzeShardedContext analyzes a loaded dataset through the
-// distributed shard-and-merge pipeline inside one process: it splits the
-// dataset into Config.Shards slices of the page-key space, analyzes each
-// slice independently, round-trips every Partial through its wire
-// encoding, and assembles the merged Results — byte-identical in every
-// export to the unsharded analysis, which is what cmd/analyze -shards
-// exercises. Shards <= 1 falls back to LoadAndAnalyzeContext. The input
-// format is auto-detected; a seekable columnar input (an *os.File) is
-// read through its footer index, so each shard decodes only the blocks
-// whose page lists intersect its slice.
-func LoadAndAnalyzeShardedContext(ctx context.Context, datasetIn io.Reader, cfg Config) (*Results, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Shards <= 1 {
-		return LoadAndAnalyzeContext(ctx, datasetIn, cfg)
-	}
-	if ra, size, ok := readerAtSize(datasetIn); ok {
-		head := make([]byte, len(colstore.Magic))
-		if n, _ := ra.ReadAt(head, 0); colstore.Sniff(head[:n]) {
-			return loadAndAnalyzeShardedCol(ctx, ra, size, cfg)
-		}
-	}
-	ds, err := dataset.ReadAuto(datasetIn)
-	if err != nil {
-		return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
-	}
-	plan := cfg.shardPlan()
-	parts := make([]*core.Partial, cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
-		keep := plan.Keep(i)
-		shardDS := ds.FilterPages(func(k dataset.PageKey) bool { return keep(k.Site, k.PageURL) })
-		if err := analyzeShard(ctx, cfg, i, shardDS, parts); err != nil {
-			return nil, err
-		}
-	}
-	return AssembleFromPartials(ctx, cfg, parts)
-}
-
-// loadAndAnalyzeShardedCol runs the in-process shard-and-merge pipeline
-// against a random-access columnar dataset: each shard consults the
-// footer index's per-block page lists and decodes only the blocks
-// holding pages of its slice — the I/O pattern a remote shard worker
-// with the file on shared storage would use.
-func loadAndAnalyzeShardedCol(ctx context.Context, ra io.ReaderAt, size int64, cfg Config) (*Results, error) {
-	colr, err := dataset.OpenCol(ra, size)
-	if err != nil {
-		return nil, fmt.Errorf("webmeasure: load dataset: %w", err)
-	}
-	plan := cfg.shardPlan()
-	parts := make([]*core.Partial, cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
-		keep := plan.Keep(i)
-		shardDS := dataset.New()
-		for bi, meta := range colr.Index().Blocks {
-			hit := false
-			for _, page := range meta.Pages {
-				if keep(meta.Site, page) {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				continue
-			}
-			sb, err := colr.Block(bi)
-			if err != nil {
-				return nil, fmt.Errorf("webmeasure: shard %d/%d: %w", i, cfg.Shards, err)
-			}
-			for _, v := range sb.Visits {
-				if keep(v.Site, v.PageURL) {
-					shardDS.Add(v)
-				}
-			}
-		}
-		if err := analyzeShard(ctx, cfg, i, shardDS, parts); err != nil {
-			return nil, err
-		}
-	}
-	return AssembleFromPartials(ctx, cfg, parts)
-}
-
-// analyzeShard analyzes one shard's slice and stores its wire-round-
-// tripped Partial in parts[i].
-func analyzeShard(ctx context.Context, cfg Config, i int, shardDS *dataset.Dataset, parts []*core.Partial) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("webmeasure: sharded analysis canceled: %w", err)
-	}
-	shardCfg := cfg
-	shardCfg.ShardIndex = i
-	u, sample, boundaries := experimentFrame(shardCfg)
-	res, err := AnalyzeContext(ctx, shardDS, u, sample, boundaries, shardCfg)
-	if err != nil {
-		return fmt.Errorf("webmeasure: shard %d/%d: %w", i, cfg.Shards, err)
-	}
-	part, err := res.Partial()
-	if err != nil {
-		return err
-	}
-	// Round-trip through the wire form so the in-process path exercises
-	// exactly what a remote worker ships.
-	wire, err := part.Encode()
-	if err != nil {
-		return err
-	}
-	parts[i], err = core.DecodePartial(wire)
-	return err
 }
 
 // readerAtSize reports whether r supports random access from its start,
